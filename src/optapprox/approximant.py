@@ -49,12 +49,6 @@ def _normal_matrix(system: GramSystem):
     return tuple(tuple(x.conjugate() for x in row) for row in system.matrix)
 
 
-def _solve(system: GramSystem):
-    if system.backend == "float":
-        return linsolve.solve_hpd_float(_normal_matrix(system), system.rhs)
-    return linsolve.solve_exact(_normal_matrix(system), system.rhs)
-
-
 def _residual_norm_sq(p: Series, f: Series, alpha):
     pf = poly_mul(p, f)
     if f.backend == "exact":
@@ -66,22 +60,24 @@ def _residual_norm_sq(p: Series, f: Series, alpha):
     return norm_sq(Series.from_complex(r), alpha)
 
 
+def _approximant(f: Series, system: GramSystem, A, n: int, alpha) -> ApproximantResult:
+    """Degree-n approximant from the leading block of the normal matrix A."""
+    if f.backend == "exact":
+        c = linsolve.solve_exact(tuple(row[: n + 1] for row in A[: n + 1]), system.rhs[: n + 1])
+        p, p0, one = Series(tuple(c), True), c[0], Fraction(1)
+    else:
+        c = linsolve.solve_hpd_float(A[: n + 1, : n + 1], np.asarray(system.rhs)[: n + 1])
+        p, p0, one = Series.from_complex(c), complex(c[0]), 1.0
+    return ApproximantResult(
+        n=n, p=p, p_at_zero=p0, distance_sq=one - _real(p0 * f.at0()),
+        residual_norm_sq=_residual_norm_sq(p, f, alpha),
+        tail_error_bound=system.tail_error_bound)
+
+
 def optimal(f: Series, n: int, alpha) -> ApproximantResult:
     """Solve for the unique degree-n optimal approximant to 1/f in D_alpha."""
     system = gram(f, n, alpha)
-    c = _solve(system)
-    if f.backend == "exact":
-        p = Series(tuple(c), True)
-        p0 = c[0]
-        dist = Fraction(1) - _real(p0 * f.at0())
-    else:
-        p = Series.from_complex(c)
-        p0 = complex(c[0])
-        dist = 1.0 - _real(p0 * f.at0())
-    return ApproximantResult(
-        n=n, p=p, p_at_zero=p0, distance_sq=dist,
-        residual_norm_sq=_residual_norm_sq(p, f, alpha),
-        tail_error_bound=system.tail_error_bound)
+    return _approximant(f, system, _normal_matrix(system), n, alpha)
 
 
 def optimal_sweep(f: Series, n_max: int, alpha):
@@ -89,25 +85,7 @@ def optimal_sweep(f: Series, n_max: int, alpha):
     matrix built at n_max (principal submatrices are the smaller systems)."""
     system = gram(f, n_max, alpha)
     A = _normal_matrix(system)
-    out = []
-    for n in range(n_max + 1):
-        if f.backend == "exact":
-            sub = tuple(row[: n + 1] for row in A[: n + 1])
-            c = linsolve.solve_exact(sub, system.rhs[: n + 1])
-            p = Series(tuple(c), True)
-            p0 = c[0]
-            dist = Fraction(1) - _real(p0 * f.at0())
-        else:
-            sub = A[: n + 1, : n + 1]
-            c = linsolve.solve_hpd_float(sub, np.asarray(system.rhs)[: n + 1])
-            p = Series.from_complex(c)
-            p0 = complex(c[0])
-            dist = 1.0 - _real(p0 * f.at0())
-        out.append(ApproximantResult(
-            n=n, p=p, p_at_zero=p0, distance_sq=dist,
-            residual_norm_sq=_residual_norm_sq(p, f, alpha),
-            tail_error_bound=system.tail_error_bound))
-    return out
+    return [_approximant(f, system, A, n, alpha) for n in range(n_max + 1)]
 
 
 def distance(f: Series, n: int, alpha):

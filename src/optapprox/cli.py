@@ -8,7 +8,7 @@ golden comparisons are byte-stable.
 
 Exit codes: 0 success, 2 validation error, 3 numerical breakdown,
 4 verification failure.  Errors are emitted as machine-readable JSON on
-stderr.  APPROX_THREADS bounds sweep parallelism.
+stderr.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import approximant, families, kernels, levinson, orthopoly, verify, zeros
@@ -105,13 +104,6 @@ def _load_function(args) -> Series:
     return f
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("APPROX_THREADS", "4")))
-    except ValueError:
-        return 4
-
-
 def _write_output(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -148,32 +140,20 @@ def _cmd_approximant(args) -> int:
 
 def _cmd_zeros(args) -> int:
     f = _load_function(args)
-    ns = list(_parse_n_range(args.n_range))
-
-    def roots_for(n):
-        p = approximant.optimal(f, n, args.alpha).p
-        if p.to_float().degree < 1:
-            return []
-        return list(zeros.poly_roots(p).roots)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        per_n = list(pool.map(roots_for, ns))
-
-    rows = []
-    for n, roots in zip(ns, per_n):
-        for idx, z in enumerate(roots):
-            rows.append((n, idx, z.real, z.imag, abs(z)))
+    ns = _parse_n_range(args.n_range)
+    sweep = approximant.optimal_sweep(f, ns[-1], args.alpha)
+    rows = [{"n": n, "root_index": idx, **z}
+            for n in ns for idx, z in enumerate(_zeros_of(sweep[n].p))]
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["n", "root_index", "re", "im", "modulus"])
-        for row in rows:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4])])
+        for r in rows:
+            w.writerow([r["n"], r["root_index"], repr(r["re"]), repr(r["im"]),
+                        repr(r["modulus"])])
         _write_output(args, buf.getvalue())
     else:
-        payload = [{"n": r[0], "root_index": r[1], "re": r[2], "im": r[3],
-                    "modulus": r[4]} for r in rows]
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, json.dumps(rows, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -199,14 +179,16 @@ def _cmd_kernel(args) -> int:
     w = _parse_point(args.w)
     if f.backend == "exact":
         f = f.to_float()
-    ev = kernels.kernel_eval(f, args.n, args.alpha, z, w)
+    bas = orthopoly.basis(f, args.n, args.alpha)
+    ev = kernels.kernel_eval_from_basis(bas, z, w)
+    k00 = kernels.kernel_eval_from_basis(bas, 0j, 0j).value
     payload = {
         "alpha": args.alpha,
         "n": args.n,
         "z": {"re": z.real, "im": z.imag},
         "w": {"re": w.real, "im": w.imag},
         "value": serialize_scalar(ev.value),
-        "extremal_value_at_zero": kernels.extremal_value(f, args.n, args.alpha),
+        "extremal_value_at_zero": math.sqrt(max(k00.real, 0.0)),
     }
     _write_output(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -145,8 +145,8 @@ def parse_rational(s: str) -> Fraction:
 
 # -- backend-agnostic scalar helpers ----------------------------------
 #
-# Several algorithms (Levinson, Gram-Schmidt) run verbatim in both
-# backends; these helpers dispatch on the scalar type.
+# Levinson runs verbatim in both backends; these helpers dispatch on the
+# scalar type.
 
 def conj(x):
     if isinstance(x, ExactComplex):
@@ -159,13 +159,3 @@ def abs_sq(x):
         return x.abs_sq
     c = complex(x)
     return c.real * c.real + c.imag * c.imag
-
-
-def real_part(x):
-    if isinstance(x, ExactComplex):
-        return x.re
-    return complex(x).real
-
-
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (ExactComplex, Fraction, int))

@@ -10,6 +10,7 @@ coefficient lists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,10 @@ ETA_DEFAULT_TRUNCATION = 10 ** 6
 BLASCHKE_DEFAULT_TRUNCATION = 10 ** 4
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     family: str
@@ -41,21 +46,24 @@ class FunctionSpec:
         p = self.params
         if self.family in ("one_minus_z_pow", "one_plus_z_pow"):
             N = p.get("N")
-            if not isinstance(N, int) or N < 1:
+            if not _is_number(N, numbers.Integral) or N < 1:
                 raise SpecValidationError("power families need an integer N >= 1")
         elif self.family == "blaschke":
-            lam = complex(p.get("lambda", 0))
-            if lam == 0 or abs(lam) >= 1:
+            lam = p.get("lambda", 0)
+            if not _is_number(lam, numbers.Complex) or not 0 < abs(lam) < 1:
                 raise SpecValidationError("blaschke needs 0 < |lambda| < 1")
+            trunc = p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION)
+            if not _is_number(trunc, numbers.Integral) or trunc < 1:
+                raise SpecValidationError("blaschke truncation must be an integer >= 1")
             if self.backend == "exact":
                 raise SpecValidationError("blaschke is a truncated family; float only")
         elif self.family == "eta_family":
             eta = p.get("eta")
-            if eta is None or not float(eta) > 0:
+            if not _is_number(eta) or not eta > 0:
                 raise SpecValidationError("eta_family needs eta > 0")
             trunc = p.get("truncation", ETA_DEFAULT_TRUNCATION)
-            if trunc < 64:
-                raise SpecValidationError("eta_family truncation must be >= 64")
+            if not _is_number(trunc, numbers.Integral) or trunc < 64:
+                raise SpecValidationError("eta_family truncation must be an integer >= 64")
             if self.backend == "exact":
                 raise SpecValidationError("eta_family is a truncated family; float only")
         elif self.family == "explicit":
@@ -102,6 +110,14 @@ def realize(spec: FunctionSpec) -> Series:
     return s
 
 
+def _json_parts(c: dict) -> tuple:
+    """(re, im) of a {"re":, "im":} value, each a number or a numeric string."""
+    parts = (c.get("re", 0), c.get("im", 0))
+    if not all(_is_number(x) or isinstance(x, str) for x in parts):
+        raise SpecValidationError(f"bad complex value {c!r}")
+    return parts
+
+
 def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
     """Build a FunctionSpec from its JSON form:
     {"family": str, "params": {...}} or {"coefficients": [...]}."""
@@ -109,14 +125,16 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
         raise SpecValidationError("function spec must be a JSON object")
     if "coefficients" in obj:
         raw = obj["coefficients"]
+        if not isinstance(raw, list):
+            raise SpecValidationError("coefficients must be a JSON array")
         if backend == "exact":
             coeffs = []
             for c in raw:
                 if isinstance(c, dict):
-                    coeffs.append((Fraction(str(c.get("re", 0))), Fraction(str(c.get("im", 0)))))
+                    coeffs.append(tuple(Fraction(str(x)) for x in _json_parts(c)))
                 elif isinstance(c, str):
                     coeffs.append(parse_rational(c))
-                elif isinstance(c, int):
+                elif _is_number(c, numbers.Integral):
                     coeffs.append(c)
                 elif isinstance(c, float):
                     raise SpecValidationError(
@@ -127,17 +145,21 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
             coeffs = []
             for c in raw:
                 if isinstance(c, dict):
-                    coeffs.append(complex(float(c.get("re", 0)), float(c.get("im", 0))))
+                    coeffs.append(complex(*map(float, _json_parts(c))))
                 elif isinstance(c, str):
                     coeffs.append(float(parse_rational(c)))
-                else:
+                elif _is_number(c):
                     coeffs.append(complex(c))
+                else:
+                    raise SpecValidationError(f"bad coefficient {c!r}")
         return FunctionSpec("explicit", {"coefficients": coeffs}, backend)
     family = obj.get("family")
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecValidationError("params must be a JSON object")
+    params = dict(params)
     if family == "blaschke" and isinstance(params.get("lambda"), dict):
-        lam = params["lambda"]
-        params["lambda"] = complex(float(lam.get("re", 0)), float(lam.get("im", 0)))
+        params["lambda"] = complex(*map(float, _json_parts(params["lambda"])))
     if family in ("blaschke", "eta_family"):
         backend = "float"
     return FunctionSpec(family, params, backend)

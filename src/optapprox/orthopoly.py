@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
 from .exact import ExactComplex
 from .series import Series, reflect, scale
@@ -75,18 +76,6 @@ def _metric_inner_float(G, p, q):
     return complex(np.dot(p, G @ np.conj(q)))
 
 
-def _metric_inner_exact(G, p, q):
-    acc = ExactComplex(0)
-    for j, pj in enumerate(p):
-        if pj.is_zero:
-            continue
-        for l, ql in enumerate(q):
-            if ql.is_zero:
-                continue
-            acc = acc + pj * ql.conjugate() * G[j][l]
-    return acc
-
-
 def _basis_float(f: Series, n: int, alpha) -> OrthonormalBasis:
     G = np.asarray(gram_matrix(f, n, alpha))
     monic, norms = [], []
@@ -121,28 +110,20 @@ def _basis_float(f: Series, n: int, alpha) -> OrthonormalBasis:
 
 
 def _basis_exact(f: Series, n: int, alpha) -> OrthonormalBasis:
-    G = gram_matrix(f, n, alpha)
-    monic, norms = [], []
-    for k in range(n + 1):
-        e = [ExactComplex(0)] * (n + 1)
-        e[k] = ExactComplex(1)
-        for j in range(k):
-            coeff = _metric_inner_exact(G, e, monic[j]) / ExactComplex(norms[j])
-            e = [a - coeff * b for a, b in zip(e, monic[j])]
-        s = _metric_inner_exact(G, e, e)
-        if s.is_zero:
-            raise DegenerateError(f"zero weighted norm at degree {k}")
-        monic.append(e)
-        norms.append(s.re)
-    return OrthonormalBasis(
-        f, float(alpha), n,
-        tuple(Series(tuple(m[: k + 1]), True) for k, m in enumerate(monic)),
-        tuple(norms))
+    # <psi_k f, z^j f> = (L^-1 G)[k, j] vanishes for j < k, so the rows of
+    # L^-1 are the monic psi_k, and s_k = <psi_k f, z^k f> = D_k.
+    inv, norms = linsolve.inverse_ldl_exact(gram_matrix(f, n, alpha))
+    return OrthonormalBasis(f, float(alpha), n,
+                            tuple(Series(row, True) for row in inv), tuple(norms))
 
 
 def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     """Orthonormal polynomial basis of f * P_n under the weighted inner
-    product, via (modified) Gram-Schmidt on (1, z, ..., z^n).
+    product.  Float: modified Gram-Schmidt on (1, z, ..., z^n) with one
+    re-orthogonalization pass.  Exact: the monic psi_k are the rows of
+    L^-1 in the factorization G = L D L^H of the Gram matrix, and D holds
+    their squared norms, both from one fraction-free integer elimination
+    (``linsolve.inverse_ldl_exact``).
 
     Monic construction makes the leading coefficients automatically real
     and positive, which is the uniqueness convention.

@@ -182,6 +182,16 @@ class TestErrorsAndExitCodes:
         assert json.loads(err)["error"] in ("SpecValidationError",
                                             "ZeroAtOriginError")
 
+    @pytest.mark.parametrize("argv", [
+        ("--backend", "float", "--f", '{"coefficients":[null]}'),
+        ("--backend", "float", "--f",
+         '{"family":"eta_family","params":{"eta":1,"truncation":"x"}}'),
+    ])
+    def test_mistyped_spec_is_validation_error(self, capsys, argv):
+        code, _, err = run(capsys, "approximant", "--n", "1", *argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "SpecValidationError"
+
     def test_exact_backend_rejects_fractional_alpha(self, capsys):
         code, _, err = run(capsys, "approximant", "--f", ONE_MINUS_Z,
                            "--alpha", "0.5", "--n", "1", "--backend", "exact")
