@@ -32,6 +32,26 @@ def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _rational(s: str) -> Fraction:
+    """A decimal or ``p/q`` string as a Fraction."""
+    try:
+        return parse_rational(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecValidationError(f"bad number {s!r:.40}") from exc
+
+
+def _finite_float(x) -> float:
+    """A JSON number or ``p/q`` string as a finite float: NaN, infinities
+    and values beyond the float range are rejected before any arithmetic."""
+    try:
+        v = float(_rational(x)) if isinstance(x, str) else float(x)
+    except OverflowError as exc:
+        raise SpecValidationError(f"number {x!r:.40} is beyond the float range") from exc
+    if not math.isfinite(v):
+        raise SpecValidationError(f"number {x!r:.40} is not finite")
+    return v
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     family: str
@@ -59,8 +79,8 @@ class FunctionSpec:
                 raise SpecValidationError("blaschke is a truncated family; float only")
         elif self.family == "eta_family":
             eta = p.get("eta")
-            if not _is_number(eta) or not eta > 0:
-                raise SpecValidationError("eta_family needs eta > 0")
+            if not _is_number(eta) or not _finite_float(eta) > 0:
+                raise SpecValidationError("eta_family needs a finite eta > 0")
             trunc = p.get("truncation", ETA_DEFAULT_TRUNCATION)
             if not _is_number(trunc, numbers.Integral) or trunc < 64:
                 raise SpecValidationError("eta_family truncation must be an integer >= 64")
@@ -93,12 +113,22 @@ def realize(spec: FunctionSpec) -> Series:
     if spec.family == "eta_family":
         eta = float(p["eta"])
         M = int(p.get("truncation", ETA_DEFAULT_TRUNCATION))
-        # g_k: coefficients of (1-z)^(-eta); g_0 = 1, g_k = g_{k-1} (eta+k-1)/k
+        # g_k: coefficients of (1-z)^(-eta); g_0 = 1, g_k = g_{k-1} ((eta+k)-1)/k,
+        # the ratios and their running product computed in place in g
         k = np.arange(1, M + 1, dtype=np.float64)
-        g = np.concatenate([[1.0], np.cumprod((eta + k - 1.0) / k)])
-        a = np.empty(M + 1, dtype=np.float64)
+        g = np.empty(M + 1, dtype=np.float64)
+        g[0] = 1.0
+        r = g[1:]
+        np.add(k, eta, out=r)
+        np.subtract(r, 1.0, out=r)
+        np.divide(r, k, out=r)
+        del k
+        np.cumprod(r, out=r)
+        # a_k = g_k + g_{k-1}, written straight into the complex128 result
+        a = np.empty(M + 1, dtype=np.complex128)
         a[0] = 1.0
-        a[1:] = g[1:] + g[:-1]
+        a[1:] = g[1:]
+        a[1:] += g[:-1]
         return Series.from_complex(a, is_exact_polynomial=False)
     coeffs = p["coefficients"]
     if spec.backend == "exact":
@@ -131,9 +161,9 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
             coeffs = []
             for c in raw:
                 if isinstance(c, dict):
-                    coeffs.append(tuple(Fraction(str(x)) for x in _json_parts(c)))
+                    coeffs.append(tuple(_rational(str(x)) for x in _json_parts(c)))
                 elif isinstance(c, str):
-                    coeffs.append(parse_rational(c))
+                    coeffs.append(_rational(c))
                 elif _is_number(c, numbers.Integral):
                     coeffs.append(c)
                 elif isinstance(c, float):
@@ -145,11 +175,9 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
             coeffs = []
             for c in raw:
                 if isinstance(c, dict):
-                    coeffs.append(complex(*map(float, _json_parts(c))))
-                elif isinstance(c, str):
-                    coeffs.append(float(parse_rational(c)))
-                elif _is_number(c):
-                    coeffs.append(complex(c))
+                    coeffs.append(complex(*map(_finite_float, _json_parts(c))))
+                elif isinstance(c, str) or _is_number(c):
+                    coeffs.append(complex(_finite_float(c)))
                 else:
                     raise SpecValidationError(f"bad coefficient {c!r}")
         return FunctionSpec("explicit", {"coefficients": coeffs}, backend)
@@ -159,7 +187,7 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
         raise SpecValidationError("params must be a JSON object")
     params = dict(params)
     if family == "blaschke" and isinstance(params.get("lambda"), dict):
-        params["lambda"] = complex(*map(float, _json_parts(params["lambda"])))
+        params["lambda"] = complex(*map(_finite_float, _json_parts(params["lambda"])))
     if family in ("blaschke", "eta_family"):
         backend = "float"
     return FunctionSpec(family, params, backend)

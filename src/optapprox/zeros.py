@@ -15,8 +15,8 @@ import numpy as np
 
 from .approximant import optimal
 from .errors import DegenerateError
-from .series import Series, poly_mul, shift
-from .spaces import norm_sq, shifted_inner
+from .series import Series, poly_mul
+from .spaces import gram_matrix
 
 #: Distinguished result of first_zero when <f, zf>_alpha = 0: the degree-1
 #: coefficient of p_1 vanishes and the zero escapes to infinity.
@@ -108,11 +108,15 @@ def first_zero(f: Series, alpha):
     """The zero of the first-order approximant:
     z_1 = ||z f||^2_alpha / <f, z f>_alpha.
 
+    Both inner products are entries of the 2x2 Gram matrix: num = G[1][1]
+    and den = G[0][1], so the float backend runs the blocked Gram kernel
+    of :func:`~optapprox.spaces.gram_matrix` (in float64 for real f).
+
     Returns NO_FINITE_ZERO when the denominator vanishes (p_1 is constant
     and its zero is interpreted as infinity).
     """
-    num = shifted_inner(f, 1, 1, alpha)   # ||z f||^2
-    den = shifted_inner(f, 0, 1, alpha)   # <f, z f>
+    G = gram_matrix(f, 1, alpha)
+    num, den = G[1][1], G[0][1]   # ||z f||^2, <f, z f>
     if f.backend == "exact":
         if den.is_zero:
             return NO_FINITE_ZERO
@@ -177,9 +181,8 @@ def fixed_point_residual(f: Series, alpha, zeros) -> tuple:
         for j, zj in enumerate(zs):
             if j != m:
                 q = poly_mul(q, Series.from_complex([-zj, 1.0]))
-        g = poly_mul(ff, q)
-        num = shifted_inner(g, 1, 1, alpha)
-        den = shifted_inner(g, 0, 1, alpha)
+        G = gram_matrix(poly_mul(ff, q), 1, alpha)
+        num, den = G[1][1], G[0][1]
         if den == 0:
             out.append(math.inf)
         else:

@@ -213,3 +213,41 @@ class TestVerify:
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz")
         assert code == 2
+
+
+BIG_INT = "1" + "0" * 400   # a JSON integer beyond the float range
+
+NON_FINITE_SPECS = [
+    pytest.param('{"coefficients":[%s]}' % BIG_INT, id="big-int"),
+    pytest.param('{"coefficients":[{"re":%s}]}' % BIG_INT, id="big-int-re"),
+    pytest.param('{"coefficients":[1,NaN]}', id="nan"),
+    pytest.param('{"coefficients":[1,1e400]}', id="1e400"),
+    pytest.param('{"coefficients":[1,"1e400"]}', id="1e400-string"),
+    pytest.param('{"family":"eta_family","params":{"eta":1e400,"truncation":100}}',
+                 id="eta-1e400"),
+    pytest.param('{"family":"eta_family","params":{"eta":%s,"truncation":100}}'
+                 % BIG_INT, id="eta-big-int"),
+]
+
+COMMANDS = [
+    ("approximant", "--n", "2"),
+    ("first-zero",),
+    ("cyclicity", "--max-n", "3"),
+    ("zeros", "--n-range", "0..2"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_non_finite_float_spec_is_validation_error(capsys, command, spec):
+    code, out, err = run(capsys, *command, "--backend", "float", "--f", spec)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecValidationError"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_zero_denominator_string_is_validation_error(capsys, backend):
+    code, _, err = run(capsys, "approximant", "--n", "1", "--backend", backend,
+                       "--f", '{"coefficients":[1,"1/0"]}')
+    assert code == 2
+    assert json.loads(err)["error"] == "SpecValidationError"

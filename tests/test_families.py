@@ -55,6 +55,20 @@ class TestRealize:
         g = np.concatenate([[1.0], np.cumprod((eta + k - 1.0) / k)])
         assert f[M].real / g[M] == pytest.approx(2.0, abs=1e-3)
 
+    @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0, 2.5])
+    def test_eta_coefficients_bit_identical_to_direct_formula(self, eta):
+        # the in-place realization keeps the operation order ((eta+k)-1)/k
+        M = 10 ** 5
+        f = realize(FunctionSpec("eta_family", {"eta": eta, "truncation": M},
+                                 "float"))
+        k = np.arange(1, M + 1, dtype=np.float64)
+        g = np.concatenate([[1.0], np.cumprod((eta + k - 1.0) / k)])
+        a = np.empty(M + 1, dtype=np.float64)
+        a[0] = 1.0
+        a[1:] = g[1:] + g[:-1]
+        assert f.coeffs.dtype == np.complex128
+        assert np.array_equal(f.coeffs, a.astype(np.complex128))
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("family,params,backend", [

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optapprox import (ExactComplex, Series, gram, inner, norm_sq, shift,
+from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
+                       gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
 from optapprox.errors import BackendMismatchError, ZeroAtOriginError
+from optapprox.spaces import _GRAM_BLOCK
 
 from conftest import random_poly
 
@@ -200,3 +202,89 @@ def test_norm_shift_bounds(rng):
         for alpha in (-2, -1, -0.5):
             assert norm_sq(shift(F, 1), alpha) >= \
                 2.0 ** alpha * norm_sq(F, alpha) * (1 - 1e-12)
+
+
+# -- the float Gram kernel F^H W F against single shifted inner products ----
+
+GRAM_ALPHAS = (-2, -1.5, -0.5, 0, 0.5, 1, 2)
+
+
+def assert_gram_matches_shifted_inner(f, n, alpha):
+    G = gram_matrix(f, n, alpha)
+    R = np.array([[shifted_inner(f, k, l, alpha) for l in range(n + 1)]
+                  for k in range(n + 1)])
+    # relative to the Cauchy-Schwarz size sqrt(M_kk M_ll) of each entry, so
+    # that entries with cancellation are held to the accuracy of their terms
+    d = R.diagonal().real
+    assert np.all(np.abs(G - R) <= 1e-13 * np.sqrt(np.outer(d, d)))
+    assert G.dtype == np.complex128 and not G.flags.writeable
+    assert np.array_equal(G, G.conj().T)
+    assert np.all(G.diagonal().imag == 0)
+
+
+def eta_series(eta, M):
+    return realize(FunctionSpec("eta_family", {"eta": eta, "truncation": M},
+                                "float"))
+
+
+def blaschke_series(lam, M):
+    return realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": M},
+                                "float"))
+
+
+class TestFloatGramKernel:
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_random_polynomials(self, rng, complex_coeffs):
+        for _ in range(4):
+            f = random_poly(rng, 8, complex_coeffs=complex_coeffs)
+            for n in (0, 2, len(f) - 1, len(f) + 4):   # below and above len(f)
+                for alpha in GRAM_ALPHAS:
+                    assert_gram_matches_shifted_inner(f, n, alpha)
+
+    @pytest.mark.parametrize("f", [
+        eta_series(0.8, 3000), eta_series(0.3, 500),
+        blaschke_series(0.5 + 0.3j, 3000), blaschke_series(-0.9, 200),
+    ], ids=["eta-0.8", "eta-0.3", "blaschke-complex", "blaschke-real"])
+    def test_truncated_series(self, f):
+        for n in (1, 6):
+            for alpha in GRAM_ALPHAS:
+                assert_gram_matches_shifted_inner(f, n, alpha)
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_block_edges(self, complex_coeffs):
+        # F has len(f) + n rows; cover row counts and series lengths next
+        # to one and two blocks
+        n = 3
+        rng = np.random.default_rng(7)
+        lengths = (_GRAM_BLOCK - n - 1, _GRAM_BLOCK - n, _GRAM_BLOCK - n + 1,
+                   _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
+                   2 * _GRAM_BLOCK + n)
+        for length in lengths:
+            c = rng.standard_normal(length)
+            if complex_coeffs:
+                c = c + 1j * rng.standard_normal(length)
+            f = Series.from_complex(c, is_exact_polynomial=False)
+            for alpha in (-1.5, 0, 2):
+                assert_gram_matches_shifted_inner(f, n, alpha)
+
+    def test_products_split_into_pieces(self, rng):
+        # n = 130 sums each block's product from pieces of a few rows
+        for complex_coeffs in (False, True):
+            f = random_poly(rng, 6, complex_coeffs=complex_coeffs)
+            for alpha in (-1.5, 0.5):
+                assert_gram_matches_shifted_inner(f, 130, alpha)
+
+    def test_real_coefficients_give_real_matrix(self):
+        G = gram_matrix(eta_series(0.5, 1000), 4, 0.5)
+        assert G.dtype == np.complex128 and not G.flags.writeable
+        assert np.all(G.imag == 0)
+
+    def test_first_zero_is_the_shifted_inner_ratio(self, rng):
+        fs = [random_poly(rng, 6, complex_coeffs=c) for c in (False, True)]
+        fs += [eta_series(0.8, 20000), blaschke_series(0.4 - 0.2j, 2000)]
+        for f in fs:
+            for alpha in GRAM_ALPHAS:
+                if alpha == 0 and f is fs[-1]:
+                    continue  # <B, zB>_0 = 0 for a Blaschke factor: noise / noise
+                ref = shifted_inner(f, 1, 1, alpha) / shifted_inner(f, 0, 1, alpha)
+                assert complex(first_zero(f, alpha)) == pytest.approx(ref, rel=1e-13)
