@@ -226,7 +226,7 @@ def _cmd_cyclicity(args) -> int:
 def _cmd_levinson(args) -> int:
     f = _load_function(args)
     state = levinson.levinson_solve(f, args.n)
-    crit = levinson.outer_criterion_partial(f, args.n)
+    crit = levinson.outer_criterion(f, state)
     payload = {
         "n": args.n,
         "backend": f.backend,

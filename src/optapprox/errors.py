@@ -27,8 +27,8 @@ class ConditioningError(OptApproxError):
 
 
 class InstabilityError(OptApproxError):
-    """Gram-Schmidt lost orthogonality beyond the re-orthogonalization
-    tolerance in the float backend."""
+    """Float orthogonal basis refused: the Cholesky factor of the Gram
+    matrix has a nonpositive pivot, or the orthogonality certificate fails."""
 
 
 class BreakdownError(OptApproxError):

@@ -123,7 +123,8 @@ def realize(spec: FunctionSpec) -> Series:
         np.subtract(r, 1.0, out=r)
         np.divide(r, k, out=r)
         del k
-        np.cumprod(r, out=r)
+        with np.errstate(over="ignore"):  # the float Gram check reports it
+            np.cumprod(r, out=r)
         # a_k = g_k + g_{k-1}, written straight into the complex128 result
         a = np.empty(M + 1, dtype=np.complex128)
         a[0] = 1.0

@@ -115,26 +115,21 @@ class OuterCriterion:
 def outer_criterion_partial(f: Series, N: int) -> OuterCriterion:
     """Partial products of the outer-function criterion: f is outer iff
     prod_n (1 - |c_{n+1,n+1}/c_{0,n+1}|^2) reaches conj(f(0)) / ||f||^2."""
-    state = levinson_solve(f, N)
-    backend = f.backend
-    f0 = f.at0()
+    return outer_criterion(f, levinson_solve(f, N))
+
+
+def outer_criterion(f: Series, state: LevinsonState) -> OuterCriterion:
+    """The outer-function criterion from the reflection coefficients of
+    ``state = levinson_solve(f, N)``, without running the recursion again."""
     nsq = norm_sq(f, 0)
-    if backend == "exact":
-        target = f0.conjugate() / ExactComplex(nsq)
-        prod = Fraction(1)
-        f0c_over_nsq = f0.conjugate() / ExactComplex(nsq)
+    if f.backend == "exact":
+        target, scalar = f.at0().conjugate() / ExactComplex(nsq), ExactComplex
     else:
-        target = complex(np.conj(complex(f0)) / nsq)
-        prod = 1.0
-        f0c_over_nsq = target
-    products, p0s = [], []
+        target, scalar = complex(np.conj(complex(f.at0())) / nsq), float
+    prod, products, p0s = 1, [], []
     for gamma in state.gammas:
-        prod = prod * (Fraction(1) - abs_sq(gamma)) if backend == "exact" \
-            else prod * (1.0 - abs_sq(gamma))
+        prod = prod * (1 - abs_sq(gamma))
         products.append(prod)
         # p_{n+1}(0) = conj(f(0)) / (||f||^2 prod_k (1 - |Gamma_k|^2))
-        if backend == "exact":
-            p0s.append(f0c_over_nsq / ExactComplex(prod))
-        else:
-            p0s.append(f0c_over_nsq / prod)
+        p0s.append(target / scalar(prod))
     return OuterCriterion(tuple(products), target, tuple(p0s))

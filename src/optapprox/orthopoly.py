@@ -6,6 +6,8 @@ basis is kept in monic form psi_k together with the squared weighted
 norms s_k, so that phi_k = psi_k / sqrt(s_k); every quantity the library
 derives from the basis (approximants, kernels, |phi_k(0)|^2 sums)
 involves phi twice and therefore stays rational in the exact backend.
+Both backends read the basis off one triangular factor of the Gram
+matrix (see :func:`basis`); the float one is then certified on G.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf, ztrtri
 
 from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
 from .exact import ExactComplex
 from .series import Series, reflect, scale
-from .spaces import gram_matrix
+from .spaces import _product, gram_matrix
 
-#: Maximum tolerated orthonormality defect after re-orthogonalization.
+#: Maximum tolerated orthogonality defect |<psi_k f, psi_j f>| / sqrt(s_k s_j)
+#: of the float basis.
 ORTHO_RESIDUAL_LIMIT = 1e-8
 
 
@@ -72,41 +76,28 @@ class OrthonormalBasis:
         return out
 
 
-def _metric_inner_float(G, p, q):
-    return complex(np.dot(p, G @ np.conj(q)))
-
-
 def _basis_float(f: Series, n: int, alpha) -> OrthonormalBasis:
-    G = np.asarray(gram_matrix(f, n, alpha))
-    monic, norms = [], []
-    for k in range(n + 1):
-        e = np.zeros(n + 1, dtype=np.complex128)
-        e[k] = 1.0
-        # modified Gram-Schmidt plus one re-orthogonalization pass
-        for _ in range(2):
-            for j in range(k):
-                coeff = _metric_inner_float(G, e, monic[j]) / norms[j]
-                e = e - coeff * monic[j]
-        s = _metric_inner_float(G, e, e).real
-        if s <= 0:
-            raise InstabilityError(
-                f"nonpositive norm at degree {k}; Gram matrix numerically singular")
-        monic.append(e)
-        norms.append(s)
-    # orthogonality certificate
-    defect = 0.0
-    for k in range(n + 1):
-        for j in range(k):
-            v = _metric_inner_float(G, monic[k], monic[j])
-            defect = max(defect, abs(v) / math.sqrt(norms[k] * norms[j]))
-    if defect > ORTHO_RESIDUAL_LIMIT:
+    G = gram_matrix(f, n, alpha)
+    L, info = zpotrf(G, lower=1)  # G = L L^H
+    if info > 0:
+        raise InstabilityError(f"nonpositive norm at degree {info - 1}; "
+                               "Gram matrix numerically singular")
+    # C = diag(l_kk) L^-1 is unit lower triangular and C G C^H = diag(l_kk^2)
+    d = L.diagonal().real
+    C = d[:, None] * ztrtri(L, lower=1)[0]
+    np.fill_diagonal(C, 1.0)
+    H = np.abs(_product(_product(C, G), C.conj().T))
+    H /= np.outer(d, d)
+    np.fill_diagonal(H, 0.0)
+    defect = float(H.max())
+    if not defect <= ORTHO_RESIDUAL_LIMIT:  # NaN fails too
         raise InstabilityError(
             f"orthogonality defect {defect:.3e} exceeds {ORTHO_RESIDUAL_LIMIT}; "
             "use the exact backend or a lower degree")
     return OrthonormalBasis(
         f, float(alpha), n,
-        tuple(Series.from_complex(m[: k + 1]) for k, m in enumerate(monic)),
-        tuple(norms))
+        tuple(Series.from_complex(C[k, : k + 1]) for k in range(n + 1)),
+        tuple((d * d).tolist()))
 
 
 def _basis_exact(f: Series, n: int, alpha) -> OrthonormalBasis:
@@ -119,8 +110,11 @@ def _basis_exact(f: Series, n: int, alpha) -> OrthonormalBasis:
 
 def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     """Orthonormal polynomial basis of f * P_n under the weighted inner
-    product.  Float: modified Gram-Schmidt on (1, z, ..., z^n) with one
-    re-orthogonalization pass.  Exact: the monic psi_k are the rows of
+    product.  Float: for the Cholesky factor G = L L^H of the Gram matrix,
+    the rows of C = diag(l_kk) L^-1 are the monic psi_k and s_k = l_kk^2;
+    a nonpositive pivot, or an off-diagonal |C G C^H|_kj above
+    ORTHO_RESIDUAL_LIMIT sqrt(s_k s_j), raises InstabilityError.
+    Exact: the monic psi_k are the rows of
     L^-1 in the factorization G = L D L^H of the Gram matrix, and D holds
     their squared norms, both from one fraction-free integer elimination
     (``linsolve.inverse_ldl_exact``).

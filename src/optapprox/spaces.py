@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BackendMismatchError, ZeroAtOriginError
+from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
 from .series import DEGREE_EPSILON, Series, poly_mul, shift
 
@@ -127,11 +127,31 @@ _GRAM_BLOCK = 1 << 14
 #: Multiply-adds per matrix product.  BLAS hands larger products to worker
 #: threads, whose wake-up can cost far more than the product: on a 2-vCPU
 #: host a 41x47x41 complex product took 15 ms threaded against 0.06 ms on
-#: the calling thread.  Each block's product is summed from pieces of at
-#: most this size, which BLAS runs on the calling thread.
+#: the calling thread.  :func:`_product` sums its products from pieces of
+#: at most this size, which BLAS runs on the calling thread.
 _GEMM_MACS = 1 << 16
 
 
+def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B, added into ``out`` when given, summed from pieces of at most
+    _GEMM_MACS multiply-adds: blocks of A's columns while all of A's rows
+    fit in one piece, else blocks of A's rows (one row at the least)."""
+    rows, inner = A.shape
+    cols = B.shape[1]
+    if out is None:
+        out = np.zeros((rows, cols), dtype=np.result_type(A, B))
+    if rows * cols <= _GEMM_MACS:
+        step = _GEMM_MACS // (rows * cols)
+        for j in range(0, inner, step):
+            out += A[:, j:j + step] @ B[j:j + step]
+    else:
+        step = max(1, _GEMM_MACS // (inner * cols))
+        for i in range(0, rows, step):
+            out[i:i + step] += A[i:i + step] @ B
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # reported by the check at the end
 def _gram_float(c: np.ndarray, n: int, alpha) -> np.ndarray:
     # Row m of F is (f_m, f_{m-1}, ..., f_{m-n}) for m = 0..len(c)+n-1
     # (zero outside the stored range), so that
@@ -139,7 +159,6 @@ def _gram_float(c: np.ndarray, n: int, alpha) -> np.ndarray:
     if not c.imag.any():
         c = c.real
     rows = len(c) + n
-    step = max(1, _GEMM_MACS // (n + 1) ** 2)
     acc = np.zeros((n + 1, n + 1), dtype=c.dtype)
     for start in range(0, rows, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, rows)
@@ -151,10 +170,12 @@ def _gram_float(c: np.ndarray, n: int, alpha) -> np.ndarray:
         # pass runs along the series: Ft[k] = (f_{start-k}, ..., f_{stop-1-k})
         Ft = sliding_window_view(seg, stop - start)[::-1]
         A, C = Ft * _weights_float(start, stop, alpha), np.conj(Ft)
-        for j in range(0, stop - start, step):
-            acc += A[:, j:j + step] @ C[:, j:j + step].T
+        _product(A, C.T, acc)
         del A, C  # before the next block's are made
     M = (acc + acc.conj().T).astype(np.complex128) / 2
+    if not np.isfinite(M).all():
+        raise ConditioningError("float Gram matrix overflows the float range; "
+                                "use the exact backend")
     M.setflags(write=False)
     return M
 
@@ -168,7 +189,8 @@ def gram_matrix(f: Series, n: int, alpha):
     product is accumulated over blocks of rows, so memory does not grow
     with the series length.  Real coefficients (the eta family, say) run
     the same product in float64.  The result is symmetrized into an
-    exactly Hermitian, read-only complex128 array.
+    exactly Hermitian, read-only complex128 array; a matrix with an
+    entry that is not finite raises ConditioningError.
 
     Exact backend: the upper triangle from :func:`shifted_inner`, the
     rest by Hermitian symmetry.

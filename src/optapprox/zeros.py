@@ -37,22 +37,31 @@ class ZeroSet:
         return min((abs(z) for z in self.roots), default=math.inf)
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, iterations: int = 5) -> complex:
-    # coeffs in increasing order; polish only while |p| improves
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
-    best, best_val = z, abs(np.polyval(coeffs[::-1], z))
+def _modulus(v: np.ndarray) -> np.ndarray:
+    # |v| as scalar abs() computes it; np.abs on a complex array can differ
+    # in the last bit and flip a comparison of two moduli
+    return np.hypot(v.real, v.imag)
+
+
+def _newton_polish(coeffs: np.ndarray, z: np.ndarray, iterations: int = 5) -> np.ndarray:
+    # coeffs in increasing order; each root is polished while |p| improves
+    # and stops, keeping its best iterate, when p' vanishes or |p| does not
+    p = coeffs[::-1]
+    dp = np.polyder(p)
+    z = z.astype(np.complex128)
+    pv = np.polyval(p, z)
+    best = _modulus(pv)
+    idx = np.arange(len(z))
     for _ in range(iterations):
-        pv = np.polyval(coeffs[::-1], z)
-        dv = np.polyval(deriv[::-1], z)
-        if dv == 0:
-            break
-        z = z - pv / dv
-        v = abs(np.polyval(coeffs[::-1], z))
-        if v < best_val:
-            best, best_val = z, v
-        else:
-            break
-    return best
+        dv = np.polyval(dp, z[idx])
+        idx, dv = idx[dv != 0], dv[dv != 0]
+        step = z[idx] - pv[idx] / dv
+        step_pv = np.polyval(p, step)
+        v = _modulus(step_pv)
+        ok = v < best[idx]
+        idx = idx[ok]
+        z[idx], pv[idx], best[idx] = step[ok], step_pv[ok], v[ok]
+    return z
 
 
 def _cluster(roots: list) -> list:
@@ -79,6 +88,9 @@ def poly_roots(p: Series) -> ZeroSet:
     """All complex roots of p (with multiplicity), via the companion
     matrix of the monic normalization plus Newton refinement.
 
+    Newton runs on all roots at once; each root stops after 5 steps, or
+    when p' vanishes or |p| stops decreasing, and keeps its best iterate.
+
     Each reported residual is |p(zeta)| / max(1, |zeta|)^deg: dividing by
     the growth of the largest monomial makes the tolerance meaningful for
     roots outside the unit disk, where |p(zeta)| itself carries rounding
@@ -91,13 +103,12 @@ def poly_roots(p: Series) -> ZeroSet:
     coeffs = np.asarray(pf.coeffs[: d + 1], dtype=np.complex128)
     if d == 0:
         return ZeroSet((), 0, ())
-    raw = np.roots(coeffs[::-1])
-    polished = [_newton_polish(coeffs, complex(z)) for z in raw]
-    roots = tuple(_cluster(polished))
+    polished = _newton_polish(coeffs, np.roots(coeffs[::-1]))
+    roots = tuple(_cluster(polished.tolist()))
     scale = float(np.max(np.abs(coeffs)))
-    residuals = tuple(
-        float(abs(np.polyval(coeffs[::-1], z)) / max(1.0, abs(z)) ** d)
-        for z in roots)
+    z = np.array(roots)
+    residuals = tuple((np.abs(np.polyval(coeffs[::-1], z))
+                       / np.maximum(1.0, np.abs(z)) ** d).tolist())
     worst = max(residuals, default=0.0)
     if worst > 1e-6 * scale:
         raise DegenerateError(f"root residual {worst:.3e} too large for scale {scale:.3e}")
@@ -113,7 +124,8 @@ def first_zero(f: Series, alpha):
     of :func:`~optapprox.spaces.gram_matrix` (in float64 for real f).
 
     Returns NO_FINITE_ZERO when the denominator vanishes (p_1 is constant
-    and its zero is interpreted as infinity).
+    and its zero is interpreted as infinity); in the float backend, when
+    it is rounding noise next to ||f|| ||z f||.
     """
     G = gram_matrix(f, 1, alpha)
     num, den = G[1][1], G[0][1]   # ||z f||^2, <f, z f>
@@ -121,7 +133,11 @@ def first_zero(f: Series, alpha):
         if den.is_zero:
             return NO_FINITE_ZERO
         return num / den
-    if den == 0:
+    # within 4 rounding units of its Cauchy-Schwarz size ||f|| ||z f||, den
+    # is noise: an exact 0 (Blaschke factor, alpha = 0) rounds to ~1e-17;
+    # the two norms are taken apart, since ||f||^2 ||z f||^2 can overflow
+    size = math.sqrt(G[0][0].real) * math.sqrt(num.real)
+    if abs(den) <= 4 * np.finfo(np.float64).eps * size:
         return NO_FINITE_ZERO
     return complex(num / den)
 
@@ -181,10 +197,6 @@ def fixed_point_residual(f: Series, alpha, zeros) -> tuple:
         for j, zj in enumerate(zs):
             if j != m:
                 q = poly_mul(q, Series.from_complex([-zj, 1.0]))
-        G = gram_matrix(poly_mul(ff, q), 1, alpha)
-        num, den = G[1][1], G[0][1]
-        if den == 0:
-            out.append(math.inf)
-        else:
-            out.append(abs(zm - complex(num / den)))
+        z1 = first_zero(poly_mul(ff, q), alpha)
+        out.append(math.inf if z1 == NO_FINITE_ZERO else abs(zm - z1))
     return tuple(out)

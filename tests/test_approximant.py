@@ -198,3 +198,18 @@ def test_conditioning_error_float():
     M = np.diag([1.0, 1e-16]).astype(np.complex128)
     with pytest.raises(ConditioningError):
         solve_hpd_float(M, np.array([1.0, 0.0], dtype=np.complex128))
+
+
+@pytest.mark.parametrize("cond, refused", [(0.99e14, False), (1.01e14, True)])
+def test_condition_limit_boundary(cond, refused):
+    # on a diagonal matrix the 1-norm estimate and the 2-norm condition
+    # number are both exactly cond
+    from optapprox.linsolve import solve_hpd_float
+
+    M = np.diag([1.0, 0.5, 1.0 / cond]).astype(np.complex128)
+    b = np.array([1.0, 1.0, 1.0], dtype=np.complex128)
+    if refused:
+        with pytest.raises(ConditioningError, match="1.010e\\+14"):
+            solve_hpd_float(M, b)
+    else:
+        assert solve_hpd_float(M, b) == pytest.approx([1.0, 2.0, cond], rel=1e-15)

@@ -8,6 +8,7 @@ import pytest
 
 from optapprox.cli import main, serialize_scalar
 from optapprox.exact import ExactComplex
+from optapprox.series import Series
 
 ONE_MINUS_Z = '{"family":"one_minus_z_pow","params":{"N":1}}'
 CUBE = '{"family":"one_plus_z_pow","params":{"N":3}}'
@@ -251,3 +252,58 @@ def test_zero_denominator_string_is_validation_error(capsys, backend):
                        "--f", '{"coefficients":[1,"1/0"]}')
     assert code == 2
     assert json.loads(err)["error"] == "SpecValidationError"
+
+
+OVERFLOWING_SPECS = [
+    pytest.param('{"coefficients":[1,1e300]}', id="1e300"),
+    pytest.param('{"family":"eta_family","params":{"eta":1e200,"truncation":100}}',
+                 id="eta-1e200"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ("approximant", "--n", "2"),
+    ("first-zero",),
+    ("cyclicity", "--max-n", "3"),
+    ("orthopoly", "--n", "2"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("spec", OVERFLOWING_SPECS)
+def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):
+    # finite specs whose Gram entries overflow the float range
+    code, out, err = run(capsys, *command, "--backend", "float", "--f", spec)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ConditioningError"
+
+
+def test_rounding_noise_denominator_is_no_finite_zero(capsys):
+    # <B, zB> = 0 for a Blaschke factor at alpha = 0; rounding leaves ~1e-17
+    code, out, _ = run(capsys, "first-zero", "--backend", "float", "--alpha", "0",
+                       "--f", '{"family":"blaschke","params":{"lambda":'
+                              '{"re":0.4,"im":-0.2},"truncation":2000}}')
+    assert code == 0
+    assert json.loads(out)["finite"] is False
+
+
+def test_first_zero_of_large_function(capsys):
+    # ||f||^2 ||z f||^2 is beyond the float range; ||z f||^2 / <f, z f>,
+    # 1.25e200 / 0.5e200, is not
+    code, out, err = run(capsys, "first-zero", "--backend", "float",
+                         "--f", '{"coefficients":[1e100,5e99]}')
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["finite"] is True
+    assert payload["value"] == pytest.approx(2.5, rel=1e-13)
+
+
+def test_levinson_solves_once(capsys, monkeypatch):
+    from optapprox import levinson
+
+    calls = []
+    solve = levinson.levinson_solve
+    monkeypatch.setattr(levinson, "levinson_solve",
+                        lambda *a: calls.append(a) or solve(*a))
+    code, out, _ = run(capsys, "levinson", "--f", ONE_MINUS_Z, "--n", "6")
+    assert code == 0 and len(calls) == 1
+    oc = levinson.outer_criterion_partial(Series.exact([1, -1]), 6)
+    assert json.loads(out)["outer_partial_products"] == \
+        [serialize_scalar(p) for p in oc.partial_products]

@@ -11,7 +11,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
                        gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
 from optapprox.errors import BackendMismatchError, ZeroAtOriginError
-from optapprox.spaces import _GRAM_BLOCK
+from optapprox.spaces import _GRAM_BLOCK, _product
 
 from conftest import random_poly
 
@@ -232,6 +232,23 @@ def blaschke_series(lam, M):
                                 "float"))
 
 
+@pytest.mark.parametrize("rows, inner, cols", [
+    (41, 5000, 41),     # column pieces of 38
+    (5, 7, 3),          # one piece
+    (300, 300, 300),    # rows beyond one piece: row pieces of one row
+    (300, 120, 200),    # row pieces of two rows
+])
+def test_product_in_pieces(rng, rows, inner, cols):
+    A = rng.normal(size=(rows, inner)) + 1j * rng.normal(size=(rows, inner))
+    B = rng.normal(size=(inner, cols)) - 1j * rng.normal(size=(inner, cols))
+    acc = rng.normal(size=(rows, cols)) + 0j
+    want = A @ B
+    np.testing.assert_allclose(_product(A, B), want, rtol=0, atol=1e-12 * inner)
+    np.testing.assert_allclose(_product(A.real, B), A.real @ B, rtol=0, atol=1e-12 * inner)
+    got = _product(A, B, acc.copy())
+    np.testing.assert_allclose(got, acc + want, rtol=0, atol=1e-12 * inner)
+
+
 class TestFloatGramKernel:
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     def test_random_polynomials(self, rng, complex_coeffs):
@@ -288,3 +305,10 @@ class TestFloatGramKernel:
                     continue  # <B, zB>_0 = 0 for a Blaschke factor: noise / noise
                 ref = shifted_inner(f, 1, 1, alpha) / shifted_inner(f, 0, 1, alpha)
                 assert complex(first_zero(f, alpha)) == pytest.approx(ref, rel=1e-13)
+
+    def test_first_zero_of_large_function(self):
+        # Gram entries near 1e200 are finite, but their product is not
+        f = Series.from_complex([1e100, 5e99])
+        for alpha in GRAM_ALPHAS:
+            ref = shifted_inner(f, 1, 1, alpha) / shifted_inner(f, 0, 1, alpha)
+            assert complex(first_zero(f, alpha)) == pytest.approx(ref, rel=1e-13)

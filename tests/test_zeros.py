@@ -11,7 +11,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        first_zero_with_tail, fixed_point_residual, optimal,
                        poly_mul, poly_roots, realize, zero_bound_check)
 from optapprox.errors import DegenerateError
-from optapprox.zeros import NO_FINITE_ZERO
+from optapprox.zeros import NO_FINITE_ZERO, _cluster
 
 from conftest import random_poly
 
@@ -57,6 +57,59 @@ class TestPolyRoots:
             zs = poly_roots(p)
             scale = float(np.max(np.abs(c)))
             assert all(r <= 1e-8 * scale for r in zs.residuals)
+
+
+def _newton_polish_scalar(coeffs, z, iterations=5):
+    """Reference: the guarded Newton iteration one root at a time."""
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    best, best_val = z, abs(np.polyval(coeffs[::-1], z))
+    for _ in range(iterations):
+        pv = np.polyval(coeffs[::-1], z)
+        dv = np.polyval(deriv[::-1], z)
+        if dv == 0:
+            break
+        z = z - pv / dv
+        v = abs(np.polyval(coeffs[::-1], z))
+        if v < best_val:
+            best, best_val = z, v
+        else:
+            break
+    return best
+
+
+def _roots_scalar(coeffs):
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    raw = np.roots(coeffs[::-1])
+    return tuple(_cluster([_newton_polish_scalar(coeffs, complex(z)) for z in raw]))
+
+
+class TestVectorizedNewton:
+    """poly_roots polishes all roots in one array pass; it must return the
+    same bits as the scalar iteration."""
+
+    @pytest.mark.filterwarnings("error")   # no division by p' = 0
+    @pytest.mark.parametrize("coeffs", [
+        [-1, 3, -3, 1],          # (z - 1)^3: p' vanishes at the cluster
+        [-1, 0, 1],              # z^2 - 1
+        [0, 0, 0, 2.5],          # constant times monomial: all roots 0
+        [0, 3j],
+        [1, 2, 1], [2, -3, 1], [1, 0, 0, 0, 0, 1], [1e-3, 1, 1e3]])
+    def test_special_cases(self, coeffs):
+        got = poly_roots(Series.from_complex(coeffs)).roots
+        assert got == _roots_scalar(coeffs)
+
+    def test_random_degrees(self, rng):
+        for _ in range(300):
+            deg = int(rng.integers(1, 61))
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            if rng.random() < 0.3:
+                c = c.real.astype(np.complex128)
+            zs = poly_roots(Series.from_complex(c))
+            assert zs.roots == _roots_scalar(c)
+            want = [abs(np.polyval(c[::-1], z)) / max(1.0, abs(z)) ** deg
+                    for z in zs.roots]
+            # |zeta|^deg carries up to deg rounding units
+            np.testing.assert_allclose(zs.residuals, want, rtol=1e-13, atol=0)
 
 
 class TestFirstZero:
