@@ -1,9 +1,10 @@
 """Optimal polynomial approximants to 1/f and the associated distances.
 
 The degree-n optimal approximant p_n minimizes ||p f - 1||_alpha over
-polynomials of degree at most n; its coefficients solve the Gram system
-M c = conj(f(0)) e_0.  Gram's Lemma gives the squared distance from 1 to
-f * P_n as d_n^2 = 1 - p_n(0) f(0).
+polynomials of degree at most n; its coefficients solve the normal
+equations conj(G) c = conj(f(0)) e_0 for the Gram matrix
+G_kl = <z^k f, z^l f>_alpha.  Gram's Lemma gives the squared distance
+from 1 to f * P_n as d_n^2 = 1 - p_n(0) f(0).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import linsolve
 from .exact import ExactComplex
-from .series import Series, poly_mul, scale
-from .spaces import GramSystem, gram, norm_sq
+from .series import Series, poly_mul, poly_sub
+from .spaces import gram, norm_sq
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,6 @@ class ApproximantResult:
     p: Series
     p_at_zero: object
     distance_sq: object      # real scalar: Fraction (exact) or float
-    residual_norm_sq: object  # ||p_n f - 1||^2 recomputed directly
     tail_error_bound: float
 
 
@@ -36,56 +36,43 @@ def _real(x):
     return complex(x).real
 
 
-def _normal_matrix(system: GramSystem):
-    """Coefficient matrix of the normal equations.
-
-    Minimizing ||p f - 1||^2 gives sum_k <z^k f, z^l f> c_k = conj(f(0))
-    delta_{l0}, i.e. M^T c = rhs with M_{k,l} = <z^k f, z^l f>; since M is
-    Hermitian, M^T = conj(M).  For real-coefficient f the conjugation is a
-    no-op, which is why the distinction only shows up for complex f.
-    """
-    if system.backend == "float":
-        return np.conj(np.asarray(system.matrix))
-    return tuple(tuple(x.conjugate() for x in row) for row in system.matrix)
-
-
-def _residual_norm_sq(p: Series, f: Series, alpha):
-    pf = poly_mul(p, f)
-    if f.backend == "exact":
-        r = list(pf.coeffs)
-        r[0] = r[0] - ExactComplex(1)
-        return norm_sq(Series(tuple(r), True), alpha)
-    r = np.array(pf.coeffs, dtype=np.complex128)
-    r[0] -= 1.0
-    return norm_sq(Series.from_complex(r), alpha)
-
-
-def _approximant(f: Series, system: GramSystem, A, n: int, alpha) -> ApproximantResult:
-    """Degree-n approximant from the leading block of the normal matrix A."""
-    if f.backend == "exact":
-        c = linsolve.solve_exact(tuple(row[: n + 1] for row in A[: n + 1]), system.rhs[: n + 1])
-        p, p0, one = Series(tuple(c), True), c[0], Fraction(1)
+def _approximants(f: Series, degrees, alpha) -> list:
+    """Approximants of each degree in ``degrees`` from one factorization
+    of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
+    gives conj(G) c = conj(f(0)) e_0, so c = conj(y) for G y = f(0) e_0,
+    and the degree-n system is the leading (n+1)-block of G."""
+    exact = f.backend == "exact"
+    top = max(degrees)
+    system = gram(f, top, alpha)
+    sizes = [n + 1 for n in degrees]
+    f0 = f.at0()
+    b = (f0,) + (ExactComplex(0) if exact else 0j,) * top
+    if exact:
+        y = [x.conjugate() for x in linsolve.solve_exact(system.matrix, b, sizes)]
     else:
-        c = linsolve.solve_hpd_float(A[: n + 1, : n + 1], np.asarray(system.rhs)[: n + 1])
-        p, p0, one = Series.from_complex(c), complex(c[0]), 1.0
-    return ApproximantResult(
-        n=n, p=p, p_at_zero=p0, distance_sq=one - _real(p0 * f.at0()),
-        residual_norm_sq=_residual_norm_sq(p, f, alpha),
-        tail_error_bound=system.tail_error_bound)
+        y = np.conj(linsolve.solve_hpd_float(system.matrix, b, sizes))
+    out, start = [], 0
+    for n in degrees:
+        c = y[start: start + n + 1]
+        start += n + 1
+        if exact:
+            p, p0, one = Series(tuple(c), True), c[0], Fraction(1)
+        else:
+            p, p0, one = Series.from_complex(c), complex(c[0]), 1.0
+        out.append(ApproximantResult(n, p, p0, one - _real(p0 * f0),
+                                     system.tail_error_bound))
+    return out
 
 
 def optimal(f: Series, n: int, alpha) -> ApproximantResult:
     """Solve for the unique degree-n optimal approximant to 1/f in D_alpha."""
-    system = gram(f, n, alpha)
-    return _approximant(f, system, _normal_matrix(system), n, alpha)
+    return _approximants(f, [n], alpha)[0]
 
 
 def optimal_sweep(f: Series, n_max: int, alpha):
-    """Optimal approximants for every n = 0..n_max, reusing one Gram
-    matrix built at n_max (principal submatrices are the smaller systems)."""
-    system = gram(f, n_max, alpha)
-    A = _normal_matrix(system)
-    return [_approximant(f, system, A, n, alpha) for n in range(n_max + 1)]
+    """Optimal approximants for every n = 0..n_max, read off one
+    factorization of the Gram matrix at n_max."""
+    return _approximants(f, range(n_max + 1), alpha)
 
 
 def distance(f: Series, n: int, alpha):
@@ -129,41 +116,28 @@ class EqualQuantities:
 
 
 def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
-    from .orthopoly import basis  # local import: orthopoly does not import us
+    # local imports: orthopoly and kernels do not import us
+    from .kernels import kernel_eval_from_basis
+    from .orthopoly import basis
 
+    exact = f.backend == "exact"
+    one = Fraction(1) if exact else 1.0
+    zero = ExactComplex(0) if exact else 0j
+    f0 = f.at0() if exact else complex(f.at0())
+    f0_sq = f0.abs_sq if exact else abs(f0) ** 2
     res = optimal(f, n, alpha)
-    f0 = f.at0()
-    system = gram(f, n, alpha)
-
+    # (b) ||p_n f - 1||^2 recomputed from the product
+    unit = Series.exact([1]) if exact else Series.from_complex([1.0])
+    resid = norm_sq(poly_sub(poly_mul(res.p, f), unit), alpha)
     # (c)
-    if f.backend == "exact":
-        c = Fraction(1) - _real(res.p_at_zero * f0)
-    else:
-        c = 1.0 - _real(complex(res.p_at_zero) * complex(f0))
+    c = one - _real(res.p_at_zero * f0)
     # (d): first column of M^-1
-    if f.backend == "exact":
-        inv_col = linsolve.solve_exact(
-            system.matrix, (ExactComplex(1),) + (ExactComplex(0),) * n)
-        d = Fraction(1) - _real(inv_col[0]) * f0.abs_sq
-    else:
-        e0 = np.zeros(n + 1, dtype=np.complex128)
-        e0[0] = 1.0
-        inv_col = linsolve.solve_hpd_float(system.matrix, e0)
-        d = 1.0 - inv_col[0].real * abs(complex(f0)) ** 2
+    solve = linsolve.solve_exact if exact else linsolve.solve_hpd_float
+    inv_col = solve(gram(f, n, alpha).matrix, (zero + 1,) + (zero,) * n)
+    d = one - _real(inv_col[0]) * f0_sq
     # (e) via the orthonormal basis of the weighted space
     bas = basis(f, n, alpha)
-    phi_sum = bas.phi_zero_sq_partial_sums()[-1]
-    if f.backend == "exact":
-        e = Fraction(1) - phi_sum * f0.abs_sq
-    else:
-        e = 1.0 - phi_sum * abs(complex(f0)) ** 2
-    # (f) via the reproducing-kernel evaluation path
-    from .kernels import kernel_eval
-
-    zero = ExactComplex(0) if f.backend == "exact" else 0j
-    k00 = kernel_eval(f, n, alpha, zero, zero).value
-    if f.backend == "exact":
-        fq = Fraction(1) - _real(k00)
-    else:
-        fq = 1.0 - _real(k00)
-    return EqualQuantities(res.distance_sq, res.residual_norm_sq, c, d, e, fq)
+    e = one - bas.phi_zero_sq_partial_sums()[-1] * f0_sq
+    # (f) via the reproducing-kernel evaluation, on the basis of (e)
+    fq = one - _real(kernel_eval_from_basis(bas, zero, zero).value)
+    return EqualQuantities(res.distance_sq, resid, c, d, e, fq)

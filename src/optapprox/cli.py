@@ -70,22 +70,29 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
+def _degree(text: str) -> int:
+    """argparse type of --n and --max-n: a nonnegative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"degree must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_n_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
     else:
         lo = hi = int(text)
-    if hi < lo:
-        raise SpecValidationError(f"empty or descending n range {text!r}")
+    if not 0 <= lo <= hi:
+        raise SpecValidationError(f"n range {text!r} is empty, descending or negative")
     return range(lo, hi + 1)
 
 
 def _parse_point(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    return complex(float(parts[0]), float(parts[1]))
+    parts = [float(x) for x in text.split(",")] + [0.0]
+    if not all(map(math.isfinite, parts)):
+        raise SpecValidationError(f"point {text!r} is not finite")
+    return complex(parts[0], parts[1])
 
 
 def _load_function(args) -> Series:
@@ -284,15 +291,23 @@ def _add_common(sub, with_alpha=True):
     sub.add_argument("--output", default=None, help="output path (default stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as SpecValidationError, so that
+    it ends, like every other input error, in exit 2 with a JSON error."""
+
+    def error(self, message):
+        raise SpecValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optapprox",
         description="Optimal polynomial approximants to 1/f in Dirichlet-type spaces")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("approximant", help="solve for the degree-n optimal approximant")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_degree, required=True)
     s.set_defaults(handler=_cmd_approximant)
 
     s = subs.add_parser("zeros", help="zero-set sweep over a degree range")
@@ -302,24 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("orthopoly", help="weighted orthonormal polynomial basis")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_degree, required=True)
     s.set_defaults(handler=_cmd_orthopoly)
 
     s = subs.add_parser("kernel", help="evaluate the reproducing kernel K_n(z, w)")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_degree, required=True)
     s.add_argument("--z", default="0", help="point as 're' or 're,im'")
     s.add_argument("--w", default="0")
     s.set_defaults(handler=_cmd_kernel)
 
     s = subs.add_parser("cyclicity", help="cyclicity diagnostics up to max n")
     _add_common(s)
-    s.add_argument("--max-n", type=int, required=True, dest="max_n")
+    s.add_argument("--max-n", type=_degree, required=True, dest="max_n")
     s.set_defaults(handler=_cmd_cyclicity)
 
     s = subs.add_parser("levinson", help="Hardy-space Levinson recursion (alpha = 0)")
     _add_common(s, with_alpha=False)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_degree, required=True)
     s.set_defaults(handler=_cmd_levinson)
 
     s = subs.add_parser("first-zero", help="zero of the first-order approximant")
@@ -337,13 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit:  # after --help
+        return EXIT_OK
     except SpecValidationError as exc:
         return _emit_error(exc, EXIT_VALIDATION)
     except _NUMERICAL_ERRORS as exc:

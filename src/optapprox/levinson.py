@@ -56,8 +56,8 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     backend = f.backend
     f0 = f.at0()
     g = scale(f, _one(backend) / (f0 if backend == "exact" else complex(f0)))
-    # The normal equations read M^T c = e_0 with M_{k,l} = <z^k g, z^l g>
-    # (see approximant._normal_matrix), so the recursion runs on the
+    # The normal equations read conj(M) c = e_0 with M_{k,l} = <z^k g, z^l g>
+    # (see approximant._approximants), so the recursion runs on the
     # conjugated autocorrelation column.
     r = tuple(conj(x) for x in toeplitz_column(g, n))
 

@@ -6,6 +6,8 @@ over the integers, after scaling the matrix by the lcm of its
 denominators; Fractions appear only in the results.  The one elimination
 gives solutions, determinants (the last pivot) and, run on [G | I], the
 factors L^-1 and D of G = L D L^H that make the orthogonal basis.
+Neither factorization reads past its current leading block, so both
+solvers read every leading system M[:m, :m] x = b[:m] off one factor.
 """
 
 from __future__ import annotations
@@ -25,19 +27,25 @@ from .exact import ExactComplex
 CONDITION_LIMIT = 1e14
 
 
-def solve_hpd_float(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b by Cholesky.  The limit applies to LAPACK's estimate
-    of the 1-norm condition number from the factor (``zpocon``), which can
-    differ from the 2-norm one by up to a factor n either way."""
+def solve_hpd_float(M: np.ndarray, b: np.ndarray, sizes=None) -> np.ndarray:
+    """Solutions of M[:m, :m] x = b[:m] for each m in ``sizes`` (default:
+    the whole system), one after another in one array, by Cholesky.  A
+    system is refused when LAPACK's estimate of its 1-norm condition
+    number (``zpocon``) exceeds the limit; it can differ from the 2-norm
+    one by up to a factor m either way."""
     M = np.asarray(M, dtype=np.complex128)
-    c, info = zpotrf(M)  # M = U^H U
-    rcond = zpocon(c, np.linalg.norm(M, 1))[0] if info == 0 else 0.0
-    cond = 1.0 / rcond if rcond > 0 else math.inf
-    if not cond <= CONDITION_LIMIT:
-        raise ConditioningError(
-            f"Gram matrix condition estimate {cond:.3e} exceeds 1e14; "
-            "use the exact backend")
-    return zpotrs(c, np.asarray(b, dtype=np.complex128))[0]
+    c, info = zpotrf(M)  # M = U^H U; info > 0: leading minor of order info is not positive
+    out = []
+    for m in (len(b),) if sizes is None else sizes:
+        U = c[:m, :m]
+        rcond = zpocon(U, np.linalg.norm(M[:m, :m], 1))[0] if not 0 < info <= m else 0.0
+        cond = 1.0 / rcond if rcond > 0 else math.inf
+        if not cond <= CONDITION_LIMIT:
+            raise ConditioningError(
+                f"Gram matrix condition estimate {cond:.3e} exceeds 1e14; "
+                "use the exact backend")
+        out.append(zpotrs(U, np.asarray(b[:m], dtype=np.complex128))[0])
+    return np.concatenate(out)
 
 
 # Exact elimination runs over a ring: the integers for real matrices and
@@ -116,25 +124,30 @@ def _quotient(x, d) -> ExactComplex:
     return ExactComplex(Fraction(x, d))
 
 
-def solve_exact(M, b):
-    """Exact solution of M x = b over complex rationals."""
+def solve_exact(M, b, sizes=None):
+    """Exact solutions of M[:m, :m] x = b[:m] for each m in ``sizes``
+    (default: the whole system), one after another in one flat tuple,
+    from one elimination of [M | b]."""
     n = len(b)
     rows, _, ring = _integer_rows([list(M[i]) + [b[i]] for i in range(n)])
     _eliminate(rows, n, ring)
     zero, _, mul, sub, div = ring
-    det = rows[n - 1][n - 1]
-    if det == zero:
-        raise DegenerateError("zero pivot in exact back substitution")
-    # Back substitution for y = det * x, which is integral by Cramer's
-    # rule, so each division by a pivot is exact.
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = mul(row[n], det)
-        for j in range(i + 1, n):
-            acc = sub(acc, mul(row[j], y[j]))
-        y[i] = div(acc, row[i])
-    return tuple(_quotient(v, det) for v in y)
+    out = []
+    for m in (n,) if sizes is None else sizes:
+        det = rows[m - 1][m - 1]
+        if det == zero:
+            raise DegenerateError("zero pivot in exact back substitution")
+        # Back substitution for y = det * x, which is integral by Cramer's
+        # rule, so each division by a pivot is exact.
+        y = [None] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            acc = mul(row[n], det)
+            for j in range(i + 1, m):
+                acc = sub(acc, mul(row[j], y[j]))
+            y[i] = div(acc, row[i])
+        out.extend(_quotient(v, det) for v in y)
+    return tuple(out)
 
 
 def det_exact(M):

@@ -103,21 +103,11 @@ def weighted_inner(p: Series, q: Series, f: Series, alpha):
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Hermitian positive-definite system M c = conj(f(0)) e_0 whose
-    solution is the optimal approximant's coefficient vector."""
+    """Gram matrix G_kl = <z^k f, z^l f>_alpha of the approximant problem,
+    with the estimated truncation error of its entries."""
 
     matrix: object          # tuple-of-tuples (exact) or np.ndarray (float)
-    rhs: object             # tuple (exact) or np.ndarray (float)
-    alpha: float
     tail_error_bound: float  # 0 for exact polynomials
-
-    @property
-    def backend(self) -> str:
-        return "exact" if isinstance(self.matrix, tuple) else "float"
-
-    @property
-    def size(self) -> int:
-        return len(self.rhs)
 
 
 #: Rows of F per block of the float Gram product: the temporaries of one
@@ -224,11 +214,12 @@ def _truncate(f: Series, m: int) -> Series:
 
 
 def gram(f: Series, n: int, alpha) -> GramSystem:
-    """Assemble the Gram system of the degree-n approximant problem.
+    """Assemble the Gram matrix of the degree-n approximant problem.
 
-    For truncated infinite families the tail honesty policy applies: the
-    entries are recomputed at half the stored truncation degree and the
-    max-entry difference is reported as ``tail_error_bound``.
+    For truncated infinite families the entries are recomputed at half
+    the stored truncation degree, and the largest change is reported as
+    ``tail_error_bound``.  Despite its name this is an estimate of the
+    truncation error, not a bound: it can fall below the true error.
     """
     _f0_nonzero(f)
     M = gram_matrix(f, n, alpha)
@@ -242,11 +233,4 @@ def gram(f: Series, n: int, alpha) -> GramSystem:
             tail = max(
                 float(abs(complex(M[k][l] - Mh[k][l])))
                 for k in range(n + 1) for l in range(n + 1))
-    f0c = f.at0().conjugate() if f.backend == "exact" else np.conj(f.at0())
-    if f.backend == "float":
-        rhs = np.zeros(n + 1, dtype=np.complex128)
-        rhs[0] = f0c
-        rhs.setflags(write=False)
-    else:
-        rhs = (f0c,) + (ExactComplex(0),) * n
-    return GramSystem(M, rhs, float(alpha), tail)
+    return GramSystem(M, tail)

@@ -160,9 +160,10 @@ def test_acceptance_5_levinson_vs_direct():
         f = Series.from_complex(c)
         state = levinson_solve(f, 20)
         system = gram(f, 20, 0)
-        # normal equations: M^T c = rhs (M Hermitian, so M^T = conj(M))
+        # normal equations: M^T c = conj(f(0)) e_0 (M Hermitian, so M^T = conj(M))
         M = np.conj(np.asarray(system.matrix))
-        rhs_full = np.asarray(system.rhs)
+        rhs_full = np.zeros(21, dtype=np.complex128)
+        rhs_full[0] = np.conj(f.at0())
         for n in range(21):
             direct = solve_hpd_float(M[: n + 1, : n + 1], rhs_full[: n + 1])
             worst = max(worst, float(np.max(np.abs(

@@ -51,25 +51,63 @@ class TestOptimal:
             f = Series.exact(coeffs)
             for alpha in (-1, 0, 2):
                 sys = gram(f, 3, alpha)
-                # normal equations use the transpose of the Gram matrix
+                # normal equations: the transposed Gram matrix, and the
+                # right-hand side conj(f(0)) e_0
                 transposed = tuple(tuple(sys.matrix[l][k] for l in range(4))
                                    for k in range(4))
-                oracle = exact_gauss_solve(transposed, sys.rhs)
+                rhs = (f.at0().conjugate(),) + (ExactComplex(0),) * 3
+                oracle = exact_gauss_solve(transposed, rhs)
                 assert list(optimal(f, 3, alpha).p.coeffs) == oracle
 
     def test_zero_at_origin(self):
         with pytest.raises(ZeroAtOriginError):
             optimal(Series.exact([0, 1]), 1, 0)
 
-    def test_sweep_matches_single_solves(self):
-        sweep = optimal_sweep(CUBE, 3, -2)
-        for n in range(4):
-            assert tuple(sweep[n].p.coeffs) == tuple(optimal(CUBE, n, -2).p.coeffs)
-        fl = CUBE.to_float()
-        sweep_f = optimal_sweep(fl, 3, -0.5)
-        for n in range(4):
-            assert np.asarray(sweep_f[n].p.coeffs) == pytest.approx(
-                np.asarray(optimal(fl, n, -0.5).p.coeffs), rel=1e-12)
+    def test_sweep_matches_single_solves(self, rng):
+        complex_f = Series.exact([(2, 1), (-1, 3), "1/2", (0, -2)])
+        for f in (CUBE, complex_f):
+            for alpha in range(-2, 3):
+                sweep = optimal_sweep(f, 5, alpha)
+                G = gram(f, 5, alpha).matrix
+                for n in range(6):
+                    single = optimal(f, n, alpha)
+                    assert (sweep[n].p.coeffs, sweep[n].distance_sq) == \
+                        (single.p.coeffs, single.distance_sq)
+                    # the leading block of the normal equations conj(G) c = conj(f(0)) e_0
+                    block = tuple(tuple(x.conjugate() for x in row[: n + 1])
+                                  for row in G[: n + 1])
+                    rhs = (f.at0().conjugate(),) + (ExactComplex(0),) * n
+                    assert list(sweep[n].p.coeffs) == exact_gauss_solve(block, rhs)
+        for fl in (CUBE.to_float(), random_poly(rng, 6)):
+            for alpha in (-1, -0.5, 0, 1.5):
+                sweep_f = optimal_sweep(fl, 8, alpha)
+                for n in range(9):
+                    single = optimal(fl, n, alpha)
+                    assert np.asarray(sweep_f[n].p.coeffs) == pytest.approx(
+                        np.asarray(single.p.coeffs), rel=1e-12)
+                    assert sweep_f[n].distance_sq == pytest.approx(
+                        single.distance_sq, rel=1e-12, abs=1e-15)
+
+    def test_sweep_factors_once(self, monkeypatch):
+        from optapprox import linsolve
+
+        calls = []
+        eliminate, zpotrf = linsolve._eliminate, linsolve.zpotrf
+        monkeypatch.setattr(linsolve, "_eliminate",
+                            lambda *a: calls.append("exact") or eliminate(*a))
+        monkeypatch.setattr(linsolve, "zpotrf",
+                            lambda *a: calls.append("float") or zpotrf(*a))
+        assert len(optimal_sweep(CUBE, 12, 1)) == 13
+        assert calls == ["exact"]
+        assert len(optimal_sweep(CUBE.to_float(), 12, 1)) == 13
+        assert calls == ["exact", "float"]
+
+    def test_float_sweep_refused_at_top_block(self):
+        # (1 - z)^10 at alpha = 0: the 41 x 41 block is too ill-conditioned
+        f = Series.exact([1, -10, 45, -120, 210, -252, 210, -120, 45, -10, 1]).to_float()
+        assert len(optimal_sweep(f, 20, 0)) == 21
+        with pytest.raises(ConditioningError, match="condition estimate 1.6"):
+            optimal_sweep(f, 40, 0)
 
 
 class TestDistance:
@@ -77,8 +115,7 @@ class TestDistance:
         d = distance(ONE_MINUS_Z, 1, 0)
         assert d == Fraction(1, 3)
         # cross-check: ||p1 f - 1||^2 = 3 * (1/9)
-        res = optimal(ONE_MINUS_Z, 1, 0)
-        assert res.residual_norm_sq == Fraction(1, 3)
+        assert equal_quantities(ONE_MINUS_Z, 1, 0).residual_norm_sq == Fraction(1, 3)
 
     def test_blaschke_plateau(self):
         from optapprox import FunctionSpec, realize
@@ -175,7 +212,8 @@ class TestInvariants:
             f = random_poly(rng, 5)
             alpha = 0
             res = optimal(f, 3, alpha)
-            base = res.residual_norm_sq
+            base = norm_sq(poly_add(poly_mul(res.p, f),
+                                    scale(Series.from_complex([1.0]), -1.0)), alpha)
             for _ in range(3):
                 q = random_poly(rng, 3, min_f0=0.0)
                 for eps in (1e-3, -1e-3):
@@ -211,5 +249,31 @@ def test_condition_limit_boundary(cond, refused):
     if refused:
         with pytest.raises(ConditioningError, match="1.010e\\+14"):
             solve_hpd_float(M, b)
+        # the leading blocks of the one factor are still accepted
+        assert solve_hpd_float(M, b, [2, 1]) == pytest.approx([1.0, 2.0, 1.0], rel=1e-15)
     else:
         assert solve_hpd_float(M, b) == pytest.approx([1.0, 2.0, cond], rel=1e-15)
+
+
+@pytest.mark.parametrize("last", [100.0, -1.0])
+def test_leading_system_is_judged_on_its_own_block(last):
+    # the leading 2-block has condition 1e13 and is accepted; the whole
+    # matrix is refused, as ill-conditioned (1e15) or as not definite
+    from optapprox.linsolve import solve_hpd_float
+
+    M = np.diag([1.0, 1e-13, last]).astype(np.complex128)
+    b = np.ones(3, dtype=np.complex128)
+    assert solve_hpd_float(M, b, [2]) == pytest.approx([1.0, 1e13], rel=1e-12)
+    with pytest.raises(ConditioningError):
+        solve_hpd_float(M, b)
+
+
+def test_float_leading_systems_match_separate_solves(rng):
+    from optapprox.linsolve import solve_hpd_float
+
+    A = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    M = A @ A.conj().T + np.eye(7)
+    b = rng.normal(size=7) + 1j * rng.normal(size=7)
+    sizes = [1, 4, 7, 3]
+    direct = np.concatenate([np.linalg.solve(M[:m, :m], b[:m]) for m in sizes])
+    assert solve_hpd_float(M, b, sizes) == pytest.approx(direct, rel=1e-12)

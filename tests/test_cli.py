@@ -307,3 +307,57 @@ def test_levinson_solves_once(capsys, monkeypatch):
     oc = levinson.outer_criterion_partial(Series.exact([1, -1]), 6)
     assert json.loads(out)["outer_partial_products"] == \
         [serialize_scalar(p) for p in oc.partial_products]
+
+
+@pytest.mark.parametrize("backend, factor", [("exact", "_eliminate"), ("float", "zpotrf")])
+def test_zeros_sweep_factors_once(capsys, monkeypatch, backend, factor):
+    from optapprox import linsolve
+
+    calls = []
+    fn = getattr(linsolve, factor)
+    monkeypatch.setattr(linsolve, factor, lambda *a: calls.append(a) or fn(*a))
+    code, out, _ = run(capsys, "zeros", "--f", CUBE, "--alpha", "1",
+                       "--backend", backend, "--n-range", "3..12")
+    assert code == 0 and len(calls) == 1
+    assert {int(r["n"]) for r in csv.DictReader(io.StringIO(out))} == set(range(3, 13))
+
+
+def test_ill_conditioned_float_sweep_exits_3(capsys):
+    code, out, err = run(capsys, "zeros", "--backend", "float", "--alpha", "0",
+                         "--n-range", "0..40",
+                         "--f", '{"family":"one_minus_z_pow","params":{"N":10}}')
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ConditioningError"
+
+
+FLOAT_F = ("--backend", "float", "--f", ONE_MINUS_Z)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "-1"), id="approximant-n"),
+    pytest.param(("orthopoly", "--f", ONE_MINUS_Z, "--n", "-3"), id="orthopoly-n"),
+    pytest.param(("kernel", "--f", ONE_MINUS_Z, "--n", "-1"), id="kernel-n"),
+    pytest.param(("levinson", "--f", ONE_MINUS_Z, "--n", "-1"), id="levinson-n"),
+    pytest.param(("cyclicity", "--f", ONE_MINUS_Z, "--max-n", "-1"), id="cyclicity-max-n"),
+    pytest.param(("zeros", "--f", ONE_MINUS_Z, "--n-range=-2..1"), id="zeros-negative-range"),
+    pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "abc"), id="n-not-integer"),
+    pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "1.5"), id="n-fraction"),
+    pytest.param(("approximant", "--f", ONE_MINUS_Z), id="n-missing"),
+    pytest.param(("approximant", "--n", "1"), id="f-missing"),
+    pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "1", "--backend", "fast"),
+                 id="unknown-backend"),
+    pytest.param(("no-such-command",), id="unknown-command"),
+    pytest.param((), id="no-command"),
+    pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "nan"), id="z-nan"),
+    pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "1e400"), id="z-overflow"),
+    pytest.param(("kernel", *FLOAT_F, "--n", "2", "--w=0.5,-inf"), id="w-infinite"),
+])
+def test_malformed_command_line_is_json_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecValidationError"
+
+
+def test_help_still_exits_0(capsys):
+    code, out, err = run(capsys, "approximant", "--help")
+    assert code == 0 and "--n" in out and err == ""

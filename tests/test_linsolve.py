@@ -55,10 +55,15 @@ alphas = st.integers(-2, 2)
 @given(functions(), st.integers(0, 4), alphas, st.lists(gaussian_rationals, min_size=5, max_size=5))
 def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b):
     system = gram(f, n, alpha)
-    assert list(solve_exact(system.matrix, system.rhs)) == \
-        exact_gauss_solve(system.matrix, system.rhs)
+    e0 = (f.at0(),) + (ExactComplex(0),) * n
+    assert list(solve_exact(system.matrix, e0)) == exact_gauss_solve(system.matrix, e0)
     rhs = tuple(b[: n + 1])
     assert list(solve_exact(system.matrix, rhs)) == exact_gauss_solve(system.matrix, rhs)
+    # every leading system from the one elimination, in the order asked for
+    sizes = list(range(n + 1, 0, -1))
+    leading = [x for m in sizes
+               for x in exact_gauss_solve([row[:m] for row in system.matrix[:m]], rhs[:m])]
+    assert list(solve_exact(system.matrix, rhs, sizes)) == leading
 
 
 @settings(max_examples=60, deadline=None)

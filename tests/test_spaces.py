@@ -89,7 +89,6 @@ class TestGram:
         sys = gram(Series.exact([1, -1]), 1, 0)
         assert sys.matrix == ((ExactComplex(2), ExactComplex(-1)),
                               (ExactComplex(-1), ExactComplex(2)))
-        assert sys.rhs == (ExactComplex(1), ExactComplex(0))
         assert sys.tail_error_bound == 0.0
 
     def test_monomial_weights_diagonal(self):
@@ -106,16 +105,10 @@ class TestGram:
         assert sys.matrix == (
             (ExactComplex(Fraction(69, 16)), ExactComplex(Fraction(31, 16))),
             (ExactComplex(Fraction(31, 16)), ExactComplex(Fraction(741, 400))))
-        assert sys.rhs == (ExactComplex(1), ExactComplex(0))
 
     def test_zero_at_origin_rejected(self):
         with pytest.raises(ZeroAtOriginError):
             gram(Series.exact([0, 1]), 1, 0)
-
-    def test_rhs_is_conjugate_of_f0(self):
-        sys = gram(Series.exact([(2, -3), 1]), 2, 0)
-        assert sys.rhs[0] == ExactComplex(2, 3)
-        assert all(x == ExactComplex(0) for x in sys.rhs[1:])
 
     def test_tail_bound_positive_for_truncated_series(self):
         coeffs = 0.9 ** np.arange(200)
