@@ -17,7 +17,7 @@ import numpy as np
 from . import linsolve
 from .exact import ExactComplex
 from .series import Series, poly_mul, poly_sub
-from .spaces import gram, norm_sq
+from .spaces import _f0_nonzero, gram, gram_numerators, norm_sq
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,23 @@ def _approximants(f: Series, degrees, alpha) -> list:
     """Approximants of each degree in ``degrees`` from one factorization
     of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
     gives conj(G) c = conj(f(0)) e_0, so c = conj(y) for G y = f(0) e_0,
-    and the degree-n system is the leading (n+1)-block of G."""
+    and the degree-n system is the leading (n+1)-block of G.  For an exact
+    polynomial f, G goes to the solver as its band of integer numerators."""
     exact = f.backend == "exact"
     top = max(degrees)
-    system = gram(f, top, alpha)
+    if exact and f.is_exact_polynomial:
+        _f0_nonzero(f)
+        G, tail = gram_numerators(f, top, alpha), 0.0
+    else:
+        system = gram(f, top, alpha)
+        G, tail = system.matrix, system.tail_error_bound
     sizes = [n + 1 for n in degrees]
     f0 = f.at0()
     b = (f0,) + (ExactComplex(0) if exact else 0j,) * top
     if exact:
-        y = [x.conjugate() for x in linsolve.solve_exact(system.matrix, b, sizes)]
+        y = [x.conjugate() for x in linsolve.solve_exact(G, b, sizes)]
     else:
-        y = np.conj(linsolve.solve_hpd_float(system.matrix, b, sizes))
+        y = np.conj(linsolve.solve_hpd_float(G, b, sizes))
     out, start = [], 0
     for n in degrees:
         c = y[start: start + n + 1]
@@ -59,8 +65,7 @@ def _approximants(f: Series, degrees, alpha) -> list:
             p, p0, one = Series(tuple(c), True), c[0], Fraction(1)
         else:
             p, p0, one = Series.from_complex(c), complex(c[0]), 1.0
-        out.append(ApproximantResult(n, p, p0, one - _real(p0 * f0),
-                                     system.tail_error_bound))
+        out.append(ApproximantResult(n, p, p0, one - _real(p0 * f0), tail))
     return out
 
 

@@ -60,10 +60,10 @@ def serialize_scalar(x):
     return {"re": c.real, "im": c.imag}
 
 
-def _emit_error(exc: Exception, code: int) -> int:
+def _emit_error(exc: Exception, code: int, module: str | None = None) -> int:
     payload = {
         "error": type(exc).__name__,
-        "module": _ERROR_MODULE.get(type(exc), "optapprox"),
+        "module": module or _ERROR_MODULE.get(type(exc), "optapprox"),
         "message": str(exc),
     }
     print(json.dumps(payload), file=sys.stderr)
@@ -77,21 +77,28 @@ def _degree(text: str) -> int:
     return int(text)
 
 
-def _parse_n_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+def _alpha(text: str) -> float:
+    """argparse type of --alpha: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"alpha must be finite, got {text!r}")
+    return value
+
+
+def _n_range(text: str) -> range:
+    """argparse type of --n-range: 'lo..hi' or 'n', with 0 <= lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if sep else lo)
     if not 0 <= lo <= hi:
-        raise SpecValidationError(f"n range {text!r} is empty, descending or negative")
+        raise argparse.ArgumentTypeError(f"n range {text!r} is empty, descending or negative")
     return range(lo, hi + 1)
 
 
-def _parse_point(text: str) -> complex:
+def _point(text: str) -> complex:
+    """argparse type of --z and --w: 're' or 're,im', both finite."""
     parts = [float(x) for x in text.split(",")] + [0.0]
     if not all(map(math.isfinite, parts)):
-        raise SpecValidationError(f"point {text!r} is not finite")
+        raise argparse.ArgumentTypeError(f"point {text!r} is not finite")
     return complex(parts[0], parts[1])
 
 
@@ -101,10 +108,6 @@ def _load_function(args) -> Series:
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"--f is not valid JSON: {exc}") from exc
     spec = families.spec_from_json(obj, backend=args.backend)
-    if args.backend == "exact":
-        alpha = float(getattr(args, "alpha", 0.0))
-        if alpha != int(alpha):
-            raise SpecValidationError("exact backend requires integer alpha")
     f = families.realize(spec)
     if args.backend == "float" and f.backend == "exact":
         f = f.to_float()
@@ -147,7 +150,7 @@ def _cmd_approximant(args) -> int:
 
 def _cmd_zeros(args) -> int:
     f = _load_function(args)
-    ns = _parse_n_range(args.n_range)
+    ns = args.n_range
     sweep = approximant.optimal_sweep(f, ns[-1], args.alpha)
     rows = [{"n": n, "root_index": idx, **z}
             for n in ns for idx, z in enumerate(_zeros_of(sweep[n].p))]
@@ -182,8 +185,7 @@ def _cmd_orthopoly(args) -> int:
 
 def _cmd_kernel(args) -> int:
     f = _load_function(args)
-    z = _parse_point(args.z)
-    w = _parse_point(args.w)
+    z, w = args.z, args.w
     if f.backend == "exact":
         f = f.to_float()
     bas = orthopoly.basis(f, args.n, args.alpha)
@@ -264,10 +266,8 @@ def _cmd_verify(args) -> int:
     results = verify.run_verification(only=args.only,
                                       inject_error=args.inject_error)
     if not results:
-        print(json.dumps({"error": "SpecValidationError", "module": "cli",
-                          "message": f"no checks match {args.only!r}"}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        return _emit_error(SpecValidationError(f"no checks match {args.only!r}"),
+                           EXIT_VALIDATION, "cli")
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -285,7 +285,7 @@ def _add_common(sub, with_alpha=True):
                      help="function spec as JSON: {\"family\":..., \"params\":{...}}"
                           " or {\"coefficients\": [...]}")
     if with_alpha:
-        sub.add_argument("--alpha", type=float, default=0.0)
+        sub.add_argument("--alpha", type=_alpha, default=0.0)
     sub.add_argument("--backend", choices=("exact", "float"), default="exact")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="output path (default stdout)")
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("zeros", help="zero-set sweep over a degree range")
     _add_common(s)
-    s.add_argument("--n-range", required=True, help="e.g. 0..50")
+    s.add_argument("--n-range", type=_n_range, required=True, help="e.g. 0..50")
     s.set_defaults(handler=_cmd_zeros, format="csv")
 
     s = subs.add_parser("orthopoly", help="weighted orthonormal polynomial basis")
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("kernel", help="evaluate the reproducing kernel K_n(z, w)")
     _add_common(s)
     s.add_argument("--n", type=_degree, required=True)
-    s.add_argument("--z", default="0", help="point as 're' or 're,im'")
-    s.add_argument("--w", default="0")
+    s.add_argument("--z", type=_point, default="0", help="point as 're' or 're,im'")
+    s.add_argument("--w", type=_point, default="0")
     s.set_defaults(handler=_cmd_kernel)
 
     s = subs.add_parser("cyclicity", help="cyclicity diagnostics up to max n")
@@ -351,17 +351,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    """The command line, checked as a whole: the exact backend takes an
+    integer alpha only."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) == "exact" and \
+            not float(getattr(args, "alpha", 0.0)).is_integer():
+        raise SpecValidationError("exact backend requires integer alpha")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        args = _parse_args(argv)
     except SystemExit:  # after --help
         return EXIT_OK
+    except SpecValidationError as exc:
+        return _emit_error(exc, EXIT_VALIDATION, "cli")
+    try:
+        return args.handler(args)
     except SpecValidationError as exc:
         return _emit_error(exc, EXIT_VALIDATION)
     except _NUMERICAL_ERRORS as exc:
         return _emit_error(exc, EXIT_NUMERICAL)
     except OptApproxError as exc:
+        return _emit_error(exc, EXIT_NUMERICAL)
+    except OverflowError as exc:  # a float view of an exact result beyond the float range
         return _emit_error(exc, EXIT_NUMERICAL)
     except ValueError as exc:
         return _emit_error(exc, EXIT_VALIDATION)

@@ -9,6 +9,7 @@ fractions like 741/1694 exact.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 
@@ -127,12 +128,20 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
+def _digits(k: int) -> str:
+    try:
+        return str(k)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits (4300 by default)
+        return str(Decimal(k))   # the same text, with no limit
+
+
 def format_rational(x: Fraction) -> str:
-    """Serialize a rational as ``p/q`` in lowest terms (``p`` for integers)."""
+    """Serialize a rational as ``p/q`` in lowest terms (``p`` for integers),
+    however many digits it has."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def parse_rational(s: str) -> Fraction:

@@ -23,7 +23,7 @@ from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
 from .exact import ExactComplex
 from .series import Series, reflect, scale
-from .spaces import _product, gram_matrix
+from .spaces import _product, gram_matrix, gram_numerators
 
 #: Maximum tolerated orthogonality defect |<psi_k f, psi_j f>| / sqrt(s_k s_j)
 #: of the float basis.
@@ -103,7 +103,7 @@ def _basis_float(f: Series, n: int, alpha) -> OrthonormalBasis:
 def _basis_exact(f: Series, n: int, alpha) -> OrthonormalBasis:
     # <psi_k f, z^j f> = (L^-1 G)[k, j] vanishes for j < k, so the rows of
     # L^-1 are the monic psi_k, and s_k = <psi_k f, z^k f> = D_k.
-    inv, norms = linsolve.inverse_ldl_exact(gram_matrix(f, n, alpha))
+    inv, norms = linsolve.inverse_ldl_exact(gram_numerators(f, n, alpha))
     return OrthonormalBasis(f, float(alpha), n,
                             tuple(Series(row, True) for row in inv), tuple(norms))
 
@@ -114,10 +114,11 @@ def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     the rows of C = diag(l_kk) L^-1 are the monic psi_k and s_k = l_kk^2;
     a nonpositive pivot, or an off-diagonal |C G C^H|_kj above
     ORTHO_RESIDUAL_LIMIT sqrt(s_k s_j), raises InstabilityError.
-    Exact: the monic psi_k are the rows of
-    L^-1 in the factorization G = L D L^H of the Gram matrix, and D holds
-    their squared norms, both from one fraction-free integer elimination
-    (``linsolve.inverse_ldl_exact``).
+    Exact: the monic psi_k are the rows of L^-1 in the factorization
+    G = L D L^H of the Gram matrix, and D holds their squared norms, both
+    from one fraction-free elimination (``linsolve.inverse_ldl_exact``)
+    run on the band of G as integer numerators over one denominator
+    (``spaces.gram_numerators``); no entry outside the band is built.
 
     Monic construction makes the leading coefficients automatically real
     and positive, which is the uniqueness convention.

@@ -6,13 +6,17 @@ alpha = 1 the Dirichlet space.  The exact backend only admits integer
 alpha, so that every weight (k+1)^alpha stays rational.
 
 The float Gram matrix of shifted inner products is one blocked matrix
-product F^H W F over the coefficients (see :func:`gram_matrix`); the
-single entries of :func:`shifted_inner` stay as its independent
-reference.
+product F^H W F over the coefficients (see :func:`gram_matrix`).  The
+exact one is built as integers: the numerators of its band, over one
+common denominator (see :func:`gram_numerators`), which the exact solver
+takes as they are.  The single entries of :func:`shifted_inner` stay as
+the independent reference of both.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
+from .linsolve import IntegerMatrix
 from .series import DEGREE_EPSILON, Series, poly_mul, shift
 
 
@@ -170,6 +175,49 @@ def _gram_float(c: np.ndarray, n: int, alpha) -> np.ndarray:
     return M
 
 
+def gram_numerators(f: Series, n: int, alpha) -> IntegerMatrix:
+    """The exact (n+1)x(n+1) Gram matrix <z^k f, z^l f>_alpha as integer
+    numerators over one common denominator.
+
+    With f = a / c for integral a (c the lcm of the coefficients'
+    denominators), and W = lcm((m+1)^|alpha|) for alpha < 0 (else 1), the
+    numerator of G_kl is sum_m W (m+1)^alpha a_{m-k} conj(a_{m-l}) and the
+    denominator is c^2 W.  Numerators are ints for real f and (re, im)
+    Gaussian-integer pairs for complex f.  For f of degree d the matrix is a
+    Hermitian band, G_kl = 0 when |k - l| > d, so only the band is computed
+    and stored: O(n d^2) products of small integers.
+    """
+    if f.backend != "exact":
+        raise BackendMismatchError("gram_numerators() needs an exact series")
+    _check_alpha(f.backend, alpha)
+    alpha = int(alpha)
+    coeffs = f.coeffs[: f.degree + 1]
+    d = len(coeffs) - 1
+    c = math.lcm(*(q.denominator for x in coeffs for q in (x.re, x.im)))
+    re = [x.re.numerator * (c // x.re.denominator) for x in coeffs]
+    im = [x.im.numerator * (c // x.im.denominator) for x in coeffs]
+    gaussian = any(im)
+    # w[m] = W (m+1)^alpha for m = 0..n+d, the range the band reads
+    if alpha >= 0:
+        W, w = 1, [(m + 1) ** alpha for m in range(n + d + 1)]
+    else:
+        W = math.lcm(*range(1, n + d + 2)) ** -alpha
+        w = [W // (m + 1) ** -alpha for m in range(n + d + 1)]
+    rows = tuple({} for _ in range(n + 1))
+    for t in range(min(d, n) + 1):
+        # G_{k,k+t} = sum_i w[k+t+i] a_{i+t} conj(a_i), i = 0..d-t
+        pr = [re[i + t] * re[i] + im[i + t] * im[i] for i in range(d - t + 1)]
+        pi = [im[i + t] * re[i] - re[i + t] * im[i] for i in range(d - t + 1)]
+        for k in range(n + 1 - t):
+            ws = w[k + t: k + d + 1]
+            x = sum(map(operator.mul, ws, pr))
+            y = sum(map(operator.mul, ws, pi)) if gaussian else 0
+            if x or y:
+                rows[k][k + t] = (x, y) if gaussian else x
+                rows[k + t][k] = (x, -y) if gaussian else x
+    return IntegerMatrix(rows, c * c * W, gaussian)
+
+
 def gram_matrix(f: Series, n: int, alpha):
     """(n+1)x(n+1) matrix of shifted inner products <z^k f, z^l f>_alpha.
 
@@ -182,20 +230,14 @@ def gram_matrix(f: Series, n: int, alpha):
     exactly Hermitian, read-only complex128 array; a matrix with an
     entry that is not finite raises ConditioningError.
 
-    Exact backend: the upper triangle from :func:`shifted_inner`, the
-    rest by Hermitian symmetry.
+    Exact backend: the band of integer numerators of
+    :func:`gram_numerators`, each nonzero one divided once by the common
+    denominator; entries outside the band are exact zeros.
     """
     _check_alpha(f.backend, alpha)
     if f.backend == "float":
         return _gram_float(np.asarray(f.coeffs), n, alpha)
-    rows = [[None] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for l in range(k, n + 1):
-            v = shifted_inner(f, k, l, alpha)
-            rows[k][l] = v
-            if l != k:
-                rows[l][k] = v.conjugate()
-    return tuple(tuple(r) for r in rows)
+    return gram_numerators(f, n, alpha).to_exact()
 
 
 def _f0_nonzero(f: Series) -> None:

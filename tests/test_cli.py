@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,11 @@ class TestSerialization:
     def test_complex_rational(self):
         assert serialize_scalar(ExactComplex(1, "-1/2")) == \
             {"re": "1", "im": "-1/2"}
+
+    def test_rational_beyond_the_int_string_limit(self):
+        # str() of an int stops at 4300 digits by default; the output does not
+        big = 10 ** 5000 + 1
+        assert serialize_scalar(ExactComplex(Fraction(-big, 3))) == "-1" + "0" * 4999 + "1/3"
 
     def test_float(self):
         assert serialize_scalar(0.25) == 0.25
@@ -355,7 +361,33 @@ FLOAT_F = ("--backend", "float", "--f", ONE_MINUS_Z)
 def test_malformed_command_line_is_json_validation_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "SpecValidationError"
+    payload = json.loads(err)
+    assert payload["error"] == "SpecValidationError"
+    assert payload["module"] == "cli"
+
+
+def test_float_view_beyond_the_float_range_exits_3(capsys):
+    # ||f||^2 = 1 + 10^400 is exact, but the phis need 1/sqrt of its float
+    code, out, err = run(capsys, "orthopoly", "--n", "0",
+                         "--f", '{"coefficients":[1,%d]}' % 10 ** 200)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+def test_spec_error_names_families(capsys):
+    code, out, err = run(capsys, "approximant", "--n", "1", "--f", '{"coefficients":[0,1]}')
+    assert code == 2 and out == ""
+    assert json.loads(err)["module"] == "families"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_alpha_is_json_validation_error(capsys, alpha, backend):
+    code, out, err = run(capsys, "approximant", "--n", "3", f"--alpha={alpha}",
+                         "--backend", backend, "--f", '{"coefficients":[1,2]}')
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SpecValidationError" and payload["module"] == "cli"
 
 
 def test_help_still_exits_0(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from optapprox import ExactComplex, Series, basis, gram, weighted_inner
 from optapprox.errors import DegenerateError
 from optapprox.linsolve import det_exact, inverse_ldl_exact, solve_exact
+from optapprox.spaces import gram_numerators
 
 from conftest import exact_gauss_solve
 
@@ -126,3 +127,121 @@ def test_det_zero_pivot_before_the_last_raises(M):
 
 def test_det_of_singular_matrix_is_zero():
     assert det_exact(SINGULAR) == ExactComplex(0)
+
+
+# -- band matrices and zero skipping -------------------------------------
+
+@st.composite
+def band_cases(draw):
+    """An exact polynomial f of degree 1 or 2 and a degree n > 2 deg f, so
+    that the Gram matrix has entries outside its band."""
+    part = gaussian_rationals if draw(st.booleans()) else st.builds(ExactComplex, rationals)
+    coeffs = draw(st.lists(part, min_size=2, max_size=3))
+    assume(not coeffs[0].is_zero and not coeffs[-1].is_zero)
+    f = Series(tuple(coeffs), True)
+    n = draw(st.integers(2 * f.degree + 1, 2 * f.degree + 3))
+    return f, n
+
+
+def monic_orthogonal_oracle(G):
+    """Row k of L^-1 and D_k for G = L D L^H from k x k Gauss solves: the
+    monic psi_k is orthogonal to columns 0..k-1 of G, and D_k = psi_k G e_k."""
+    inv, norms = [], []
+    for k in range(len(G)):
+        lower = [[G[i][j] for i in range(k)] for j in range(k)]
+        row = exact_gauss_solve(lower, [-G[k][j] for j in range(k)]) + [ExactComplex(1)]
+        inv.append(tuple(row))
+        norms.append(sum((row[i] * G[i][k] for i in range(k + 1)), ExactComplex(0)).re)
+    return inv, norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_cases(), alphas)
+def test_band_gram_solve_with_sizes(case, alpha):
+    f, n = case
+    G = gram(f, n, alpha).matrix
+    assert G[0][n] == ExactComplex(0)   # outside the band
+    rhs = (f.at0(),) + (ExactComplex(0),) * n
+    sizes = list(range(1, n + 2))
+    leading = [x for m in sizes
+               for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
+    assert list(solve_exact(G, rhs, sizes)) == leading
+    assert list(solve_exact(gram_numerators(f, n, alpha), rhs, sizes)) == leading
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_cases(), alphas)
+def test_band_gram_inverse_ldl(case, alpha):
+    f, n = case
+    G = gram(f, n, alpha).matrix
+    oracle = monic_orthogonal_oracle(G)
+    assert inverse_ldl_exact(G) == oracle
+    assert inverse_ldl_exact(gram_numerators(f, n, alpha)) == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(band_cases(), alphas)
+def test_band_gram_det(case, alpha):
+    f, n = case
+    n = min(n, 5)   # the cofactor oracle grows like n!
+    det = cofactor_det(gram(f, n, alpha).matrix)
+    assert det_exact(gram(f, n, alpha).matrix) == det
+    assert det_exact(gram_numerators(f, n, alpha)) == det
+
+
+sparse_entries = st.one_of(st.just(ExactComplex(0)), st.just(ExactComplex(0)),
+                           gaussian_rationals, st.builds(ExactComplex, rationals))
+
+
+@st.composite
+def sparse_matrices(draw, max_size=6):
+    n = draw(st.integers(1, max_size))
+    return tuple(tuple(draw(sparse_entries) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.lists(gaussian_rationals, min_size=6, max_size=6))
+def test_sparse_general_matrices(M, b):
+    # solved exactly when every leading minor is nonzero, refused otherwise
+    rhs = tuple(b[: len(M)])
+    if leading_minors_nonzero(M):
+        assert list(solve_exact(M, rhs)) == exact_gauss_solve(M, rhs)
+    else:
+        with pytest.raises(DegenerateError):
+            solve_exact(M, rhs)
+    if len(M) <= 5:
+        if len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]):
+            assert det_exact(M) == cofactor_det(M)
+        else:
+            with pytest.raises(DegenerateError):
+                det_exact(M)
+
+
+def _exact(rows):
+    return tuple(tuple(ExactComplex(*x) if isinstance(x, tuple) else ExactComplex(x)
+                       for x in row) for row in rows)
+
+
+# Row 2 is zero in columns 0 and 1, so the elimination skips it at steps 0
+# and 1 and then takes it as the pivot row at step 2, where it must first be
+# scaled by Delta_2 / Delta_0.  In the second matrix row 3 is skipped at
+# step 1 only, after an update at step 0, and row 2 at step 0 only.
+STALE_PIVOT_ROWS = [
+    _exact(((2, 1, 0, 0), (1, 3, 0, 1), (0, 0, 5, 1), (0, 1, 1, 4))),
+    _exact(((3, 0, 1, 2), (0, 2, 0, 0), (1, 1, 4, 0), (2, 0, (1, 1), 7))),
+    _exact(((2, (0, 1), 0, 0, 0), ((0, -1), 3, 0, 0, 1), (0, 0, 5, 2, 0),
+            (0, 0, 2, 7, 0), (0, 1, 0, 0, 9))),
+]
+
+
+@pytest.mark.parametrize("M", STALE_PIVOT_ROWS)
+def test_stale_pivot_row(M):
+    n = len(M)
+    rhs = tuple(ExactComplex(k + 1) for k in range(n))
+    assert list(solve_exact(M, rhs)) == exact_gauss_solve(M, rhs)
+    sizes = list(range(1, n + 1))
+    assert list(solve_exact(M, rhs, sizes)) == [
+        x for m in sizes for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
+    assert det_exact(M) == cofactor_det(M)
+    if all(M[i][j] == M[j][i].conjugate() for i in range(n) for j in range(n)):
+        assert inverse_ldl_exact(M) == monic_orthogonal_oracle(M)

@@ -11,7 +11,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
                        gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
 from optapprox.errors import BackendMismatchError, ZeroAtOriginError
-from optapprox.spaces import _GRAM_BLOCK, _product
+from optapprox.spaces import _GRAM_BLOCK, _product, gram_numerators
 
 from conftest import random_poly
 
@@ -305,3 +305,54 @@ class TestFloatGramKernel:
         for alpha in GRAM_ALPHAS:
             ref = shifted_inner(f, 1, 1, alpha) / shifted_inner(f, 0, 1, alpha)
             assert complex(first_zero(f, alpha)) == pytest.approx(ref, rel=1e-13)
+
+
+# -- the exact Gram band as integer numerators, against shifted_inner -------
+
+# mixed denominators, so that the common denominator is a real lcm
+exact_parts = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def exact_polynomials(draw):
+    """Exact polynomials of degree <= 3 with real or Gaussian-rational
+    coefficients (zero ones included)."""
+    im = exact_parts if draw(st.booleans()) else st.just(Fraction(0))
+    coeffs = draw(st.lists(st.builds(ExactComplex, exact_parts, im), min_size=1, max_size=4))
+    return Series(tuple(coeffs), True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_polynomials(), st.integers(-3, 3), st.data())
+def test_gram_numerators_match_shifted_inner(f, alpha, data):
+    d = max(len(f) - 1, 0)
+    n = data.draw(st.integers(0, 3 * d + 2))
+    N = gram_numerators(f, n, alpha)
+    assert len(N.rows) == n + 1
+    for k in range(n + 1):
+        for l in range(n + 1):
+            x = N.rows[k].get(l, (0, 0) if N.gaussian else 0)
+            re, im = x if N.gaussian else (x, 0)
+            assert ExactComplex(Fraction(re, N.denominator), Fraction(im, N.denominator)) \
+                == shifted_inner(f, k, l, alpha)
+            if abs(k - l) > d:
+                assert l not in N.rows[k]   # outside the band: an exact zero, not stored
+    assert gram_matrix(f, n, alpha) == tuple(
+        tuple(shifted_inner(f, k, l, alpha) for l in range(n + 1)) for k in range(n + 1))
+
+
+def test_gram_numerators_denominator():
+    # f = (1/2 + z/3): c = 6; alpha = -2 over m = 0..3: W = lcm(1, 4, 9, 16) = 144
+    N = gram_numerators(Series.exact(["1/2", "1/3"]), 2, -2)
+    assert N.denominator == 36 * 144 and not N.gaussian
+    # G_00 = 1/4 + 1/36, G_01 = (1/3)(1/2)/4 = 1/24
+    assert Fraction(N.rows[0][0], N.denominator) == Fraction(1, 4) + Fraction(1, 36)
+    assert Fraction(N.rows[0][1], N.denominator) == Fraction(1, 24)
+    assert 2 not in N.rows[0]
+
+
+def test_gram_numerators_need_the_exact_backend():
+    with pytest.raises(BackendMismatchError):
+        gram_numerators(Series.from_complex([1.0, 0.5]), 2, 0)
+    with pytest.raises(BackendMismatchError):
+        gram_numerators(Series.exact([1, 1]), 2, 0.5)
