@@ -10,12 +10,11 @@ from 1 to f * P_n as d_n^2 = 1 - p_n(0) f(0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linsolve
-from .exact import ExactComplex
+from .exact import abs_sq
 from .series import Series, poly_mul, poly_sub
 from .spaces import _f0_nonzero, gram, gram_numerators, norm_sq
 
@@ -27,13 +26,6 @@ class ApproximantResult:
     p_at_zero: object
     distance_sq: object      # real scalar: Fraction (exact) or float
     tail_error_bound: float
-
-
-def _real(x):
-    """Real part of a scalar that is real up to backend noise."""
-    if isinstance(x, ExactComplex):
-        return x.re
-    return complex(x).real
 
 
 def _approximants(f: Series, degrees, alpha) -> list:
@@ -52,20 +44,17 @@ def _approximants(f: Series, degrees, alpha) -> list:
         G, tail = system.matrix, system.tail_error_bound
     sizes = [n + 1 for n in degrees]
     f0 = f.at0()
-    b = (f0,) + (ExactComplex(0) if exact else 0j,) * top
+    b = (f0,) + (f.scalar(0),) * top
     if exact:
         y = [x.conjugate() for x in linsolve.solve_exact(G, b, sizes)]
     else:
         y = np.conj(linsolve.solve_hpd_float(G, b, sizes))
     out, start = [], 0
     for n in degrees:
-        c = y[start: start + n + 1]
+        p = f.like(y[start: start + n + 1])
         start += n + 1
-        if exact:
-            p, p0, one = Series(tuple(c), True), c[0], Fraction(1)
-        else:
-            p, p0, one = Series.from_complex(c), complex(c[0]), 1.0
-        out.append(ApproximantResult(n, p, p0, one - _real(p0 * f0), tail))
+        p0 = p.at0()
+        out.append(ApproximantResult(n, p, p0, 1 - (p0 * f0).real, tail))
     return out
 
 
@@ -125,24 +114,20 @@ def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
     from .kernels import kernel_eval_from_basis
     from .orthopoly import basis
 
-    exact = f.backend == "exact"
-    one = Fraction(1) if exact else 1.0
-    zero = ExactComplex(0) if exact else 0j
-    f0 = f.at0() if exact else complex(f.at0())
-    f0_sq = f0.abs_sq if exact else abs(f0) ** 2
+    f0 = f.at0()
+    f0_sq = abs_sq(f0)
     res = optimal(f, n, alpha)
     # (b) ||p_n f - 1||^2 recomputed from the product
-    unit = Series.exact([1]) if exact else Series.from_complex([1.0])
-    resid = norm_sq(poly_sub(poly_mul(res.p, f), unit), alpha)
+    resid = norm_sq(poly_sub(poly_mul(res.p, f), f.like([1])), alpha)
     # (c)
-    c = one - _real(res.p_at_zero * f0)
+    c = 1 - (res.p_at_zero * f0).real
     # (d): first column of M^-1
-    solve = linsolve.solve_exact if exact else linsolve.solve_hpd_float
-    inv_col = solve(gram(f, n, alpha).matrix, (zero + 1,) + (zero,) * n)
-    d = one - _real(inv_col[0]) * f0_sq
+    solve = linsolve.solve_exact if f.backend == "exact" else linsolve.solve_hpd_float
+    inv_col = solve(gram(f, n, alpha).matrix, (f.scalar(1),) + (f.scalar(0),) * n)
+    d = 1 - inv_col[0].real * f0_sq
     # (e) via the orthonormal basis of the weighted space
     bas = basis(f, n, alpha)
-    e = one - bas.phi_zero_sq_partial_sums()[-1] * f0_sq
+    e = 1 - bas.phi_zero_sq_partial_sums()[-1] * f0_sq
     # (f) via the reproducing-kernel evaluation, on the basis of (e)
-    fq = one - _real(kernel_eval_from_basis(bas, zero, zero).value)
+    fq = 1 - kernel_eval_from_basis(bas, 0, 0).value.real
     return EqualQuantities(res.distance_sq, resid, c, d, e, fq)

@@ -102,6 +102,14 @@ class ExactComplex:
         return ExactComplex(self.re, -self.im)
 
     @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
+    @property
     def abs_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -150,17 +158,11 @@ def parse_rational(s: str) -> Fraction:
 
 # -- backend-agnostic scalar helpers ----------------------------------
 #
-# Levinson runs verbatim in both backends; these helpers dispatch on the
-# scalar type.
-
-def conj(x):
-    if isinstance(x, ExactComplex):
-        return x.conjugate()
-    return complex(x).conjugate()
-
+# The library's formulas are written once for both backends, over the
+# operations an ExactComplex shares with a Python or numpy complex:
+# + - * /, .conjugate(), .real and .imag.  |x|^2 is the one more they need.
 
 def abs_sq(x):
-    if isinstance(x, ExactComplex):
-        return x.abs_sq
-    c = complex(x)
-    return c.real * c.real + c.imag * c.imag
+    """|x|^2 = re^2 + im^2: a Fraction for an ExactComplex, a float for a
+    float scalar."""
+    return x.real * x.real + x.imag * x.imag

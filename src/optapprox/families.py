@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SpecValidationError
-from .exact import ExactComplex, parse_rational
+from .exact import parse_rational
 from .series import Series
 
 FAMILIES = ("one_minus_z_pow", "one_plus_z_pow", "blaschke", "eta_family", "explicit")
@@ -38,6 +38,18 @@ def _rational(s: str) -> Fraction:
         return parse_rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecValidationError(f"bad number {s!r:.40}") from exc
+
+
+def _exact_part(x):
+    """A JSON integer or numeric string as an exact number; a JSON float
+    is refused, since its decimal text need not be the value it stands for."""
+    if isinstance(x, str):
+        return _rational(x)
+    if _is_number(x, numbers.Integral):
+        return x
+    if isinstance(x, float):
+        raise SpecValidationError("float coefficients are not allowed in the exact backend")
+    raise SpecValidationError(f"bad coefficient {x!r}")
 
 
 def _finite_float(x) -> float:
@@ -136,7 +148,7 @@ def realize(spec: FunctionSpec) -> Series:
         s = Series.exact(coeffs)
     else:
         s = Series.from_complex([complex(c) for c in coeffs])
-    if s.at0() == (ExactComplex(0) if spec.backend == "exact" else 0j):
+    if s.at0() == 0:
         raise SpecValidationError("explicit coefficients must have coeffs[0] != 0")
     return s
 
@@ -159,19 +171,8 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
         if not isinstance(raw, list):
             raise SpecValidationError("coefficients must be a JSON array")
         if backend == "exact":
-            coeffs = []
-            for c in raw:
-                if isinstance(c, dict):
-                    coeffs.append(tuple(_rational(str(x)) for x in _json_parts(c)))
-                elif isinstance(c, str):
-                    coeffs.append(_rational(c))
-                elif _is_number(c, numbers.Integral):
-                    coeffs.append(c)
-                elif isinstance(c, float):
-                    raise SpecValidationError(
-                        "float coefficients are not allowed in the exact backend")
-                else:
-                    raise SpecValidationError(f"bad coefficient {c!r}")
+            coeffs = [tuple(map(_exact_part, _json_parts(c))) if isinstance(c, dict)
+                      else _exact_part(c) for c in raw]
         else:
             coeffs = []
             for c in raw:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .approximant import optimal
 from .errors import DegenerateError, UnsupportedAlphaError
-from .exact import ExactComplex
+from .exact import abs_sq
 from .orthopoly import OrthonormalBasis, basis
 from .series import Series, poly_eval, poly_mul
 
@@ -42,19 +41,11 @@ def kernel_eval(f: Series, n: int, alpha, z, w) -> KernelEvaluation:
 
 def kernel_eval_from_basis(bas: OrthonormalBasis, z, w) -> KernelEvaluation:
     f = bas.f
-    if bas.backend == "exact":
-        z = ExactComplex.coerce(z)
-        w = ExactComplex.coerce(w)
-        acc = ExactComplex(0)
-        for psi, s in zip(bas.monic, bas.norms_sq):
-            acc = acc + poly_eval(psi, z) * poly_eval(psi, w).conjugate() / ExactComplex(s)
-        value = acc * poly_eval(f, z) * poly_eval(f, w).conjugate()
-    else:
-        z, w = complex(z), complex(w)
-        acc = 0j
-        for psi, s in zip(bas.monic, bas.norms_sq):
-            acc += poly_eval(psi, z) * np.conj(poly_eval(psi, w)) / float(s)
-        value = acc * poly_eval(f, z) * np.conj(poly_eval(f, w))
+    z, w = f.scalar(z), f.scalar(w)
+    acc = f.scalar(0)
+    for psi, s in zip(bas.monic, bas.norms_sq):
+        acc = acc + poly_eval(psi, z) * poly_eval(psi, w).conjugate() / s
+    value = acc * poly_eval(f, z) * poly_eval(f, w).conjugate()
     return KernelEvaluation(z, w, value)
 
 
@@ -66,11 +57,8 @@ def kernel_at_zero(f: Series, n: int, alpha) -> Series:
 def extremal_value(f: Series, n: int, alpha) -> float:
     """sqrt(K_n(0,0)): the largest |g(0)| over g in f * P_n with norm <= 1,
     attained by g = K_n(., 0)/sqrt(K_n(0,0))."""
-    zero = ExactComplex(0) if f.backend == "exact" else 0j
-    k00 = kernel_eval(f, n, alpha, zero, zero).value
-    if f.backend == "exact":
-        return math.sqrt(float(k00.re))
-    return math.sqrt(max(k00.real, 0.0))
+    k00 = kernel_eval(f, n, alpha, 0, 0).value
+    return math.sqrt(max(float(k00.real), 0.0))
 
 
 def mccarthy_reference(f: Series, alpha, z, w):
@@ -133,16 +121,9 @@ def cyclicity_report(f: Series, alpha, max_n: int) -> CyclicityReport:
     bas = basis(f, max_n, alpha)
     f0 = f.at0()
     sums = bas.phi_zero_sq_partial_sums()
-    if f.backend == "exact":
-        f0c = f0.conjugate()
-        pn0 = tuple(f0c * ExactComplex(s) for s in sums)
-        dists = tuple(Fraction(1) - (p0 * f0).re for p0 in pn0)
-        target = Fraction(1) / f0.abs_sq
-    else:
-        f0 = complex(f0)
-        f0c = np.conj(f0)
-        pn0 = tuple(complex(f0c * s) for s in sums)
-        dists = tuple(1.0 - (p0 * f0).real for p0 in pn0)
-        target = 1.0 / abs(f0) ** 2
+    f0c = f0.conjugate()
+    pn0 = tuple(f0c * s for s in sums)
+    dists = tuple(1 - (p0 * f0).real for p0 in pn0)
+    target = 1 / abs_sq(f0)
     return CyclicityReport(max_n, pn0, tuple(sums), target, dists,
                            _verdict(dists))

@@ -16,12 +16,9 @@ with q = p f(0)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import BreakdownError, DegenerateError
-from .exact import ExactComplex, abs_sq, conj
+from .exact import abs_sq
 from .series import Series, scale
 from .spaces import _f0_nonzero, norm_sq, shifted_inner
 
@@ -41,10 +38,6 @@ class LevinsonState:
     history: tuple          # coefficient tuples (for f) at every degree 0..n
 
 
-def _one(backend):
-    return ExactComplex(1) if backend == "exact" else 1.0 + 0j
-
-
 def levinson_solve(f: Series, n: int) -> LevinsonState:
     """Run the Levinson recursion up to degree n (alpha = 0).
 
@@ -53,41 +46,30 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     for the normalized g = f/f(0).
     """
     _f0_nonzero(f)
-    backend = f.backend
-    f0 = f.at0()
-    g = scale(f, _one(backend) / (f0 if backend == "exact" else complex(f0)))
+    inv_f0 = 1 / f.scalar(f.at0())
+    g = scale(f, inv_f0)
     # The normal equations read conj(M) c = e_0 with M_{k,l} = <z^k g, z^l g>
     # (see approximant._approximants), so the recursion runs on the
     # conjugated autocorrelation column.
-    r = tuple(conj(x) for x in toeplitz_column(g, n))
+    r = tuple(x.conjugate() for x in toeplitz_column(g, n))
 
-    c = [_one(backend) / (ExactComplex(r[0].re) if backend == "exact" else r[0])]
+    c = [1 / r[0]]
     history = [tuple(c)]
     gammas = []
     for m in range(n):
-        gamma = sum((c[m - k] * r[k + 1] for k in range(m + 1)),
-                    start=ExactComplex(0) if backend == "exact" else 0j)
+        gamma = sum((c[m - k] * r[k + 1] for k in range(m + 1)), start=f.scalar(0))
         g2 = abs_sq(gamma)
-        if backend == "exact":
-            if g2 >= 1:
-                raise BreakdownError(f"|Gamma_{m}| >= 1 in exact recursion")
-            denom = ExactComplex(Fraction(1) - g2)
-        else:
-            if g2 >= 1.0:
-                raise BreakdownError(f"|Gamma_{m}|^2 = {g2:.6g} >= 1 (float breakdown)")
-            denom = 1.0 - g2
-        prev = c + [ExactComplex(0) if backend == "exact" else 0j]
-        c = [(prev[k] - gamma * conj(prev[m + 1 - k])) / denom
+        if g2 >= 1:
+            raise BreakdownError(f"|Gamma_{m}|^2 = {float(g2):.6g} >= 1")
+        prev, denom = c + [f.scalar(0)], f.scalar(1 - g2)
+        c = [(prev[k] - gamma * prev[m + 1 - k].conjugate()) / denom
              for k in range(m + 2)]
         gammas.append(gamma)
         history.append(tuple(c))
 
     # rescale from g back to f: p_n[f] = q_n[g] / f(0)
-    inv_f0 = _one(backend) / (f0 if backend == "exact" else complex(f0))
     history_f = tuple(tuple(ck * inv_f0 for ck in row) for row in history)
-    coeffs = Series(history_f[-1], True) if backend == "exact" else \
-        Series.from_complex(history_f[-1])
-    return LevinsonState(n=n, coeffs=coeffs, gammas=tuple(gammas),
+    return LevinsonState(n=n, coeffs=f.like(history_f[-1]), gammas=tuple(gammas),
                          autocorr=toeplitz_column(f, n), history=history_f)
 
 
@@ -97,11 +79,9 @@ def reflection_coefficients(state: LevinsonState):
     out = []
     for m in range(1, state.n + 1):
         row = state.history[m]
-        c0 = row[0]
-        zero = c0.is_zero if isinstance(c0, ExactComplex) else abs(complex(c0)) == 0
-        if zero:
+        if row[0] == 0:
             raise DegenerateError(f"c_0 at degree {m} vanishes")
-        out.append(-(row[m] / c0))
+        out.append(-(row[m] / row[0]))
     return tuple(out)
 
 
@@ -121,15 +101,11 @@ def outer_criterion_partial(f: Series, N: int) -> OuterCriterion:
 def outer_criterion(f: Series, state: LevinsonState) -> OuterCriterion:
     """The outer-function criterion from the reflection coefficients of
     ``state = levinson_solve(f, N)``, without running the recursion again."""
-    nsq = norm_sq(f, 0)
-    if f.backend == "exact":
-        target, scalar = f.at0().conjugate() / ExactComplex(nsq), ExactComplex
-    else:
-        target, scalar = complex(np.conj(complex(f.at0())) / nsq), float
+    target = f.at0().conjugate() / norm_sq(f, 0)
     prod, products, p0s = 1, [], []
     for gamma in state.gammas:
         prod = prod * (1 - abs_sq(gamma))
         products.append(prod)
         # p_{n+1}(0) = conj(f(0)) / (||f||^2 prod_k (1 - |Gamma_k|^2))
-        p0s.append(target / scalar(prod))
+        p0s.append(target / prod)
     return OuterCriterion(tuple(products), target, tuple(p0s))

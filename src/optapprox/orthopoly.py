@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, ztrtri
 
 from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
-from .exact import ExactComplex
-from .series import Series, reflect, scale
+from .exact import abs_sq
+from .series import Series, poly_add, poly_sub, reflect, scale
 from .spaces import _product, gram_matrix, gram_numerators
 
 #: Maximum tolerated orthogonality defect |<psi_k f, psi_j f>| / sqrt(s_k s_j)
@@ -61,15 +60,12 @@ class OrthonormalBasis:
 
     def phi_zero_sq(self, k):
         """|phi_k(0)|^2, exact in the exact backend."""
-        psi0 = self.monic[k].at0()
-        if self.backend == "exact":
-            return psi0.abs_sq / self.norms_sq[k]
-        return abs(complex(psi0)) ** 2 / float(self.norms_sq[k])
+        return abs_sq(self.monic[k].at0()) / self.norms_sq[k]
 
     def phi_zero_sq_partial_sums(self):
         """Partial sums sum_{k<=m} |phi_k(0)|^2 for m = 0..n."""
         out = []
-        acc = Fraction(0) if self.backend == "exact" else 0.0
+        acc = 0
         for k in range(self.n + 1):
             acc = acc + self.phi_zero_sq(k)
             out.append(acc)
@@ -134,37 +130,20 @@ def approximant_via_ops(f: Series, n: int, alpha) -> Series:
     """Optimal approximant reconstructed from the orthonormal basis:
     p_n = conj(f(0)) sum_k conj(phi_k(0)) phi_k."""
     bas = basis(f, n, alpha)
-    if f.backend == "exact":
-        out = [ExactComplex(0)] * (n + 1)
-        f0c = f.at0().conjugate()
-        for k in range(n + 1):
-            w = f0c * bas.monic[k].at0().conjugate() / ExactComplex(bas.norms_sq[k])
-            for j in range(k + 1):
-                out[j] = out[j] + w * bas.monic[k][j]
-        return Series(tuple(out), True)
-    out = np.zeros(n + 1, dtype=np.complex128)
-    f0c = np.conj(complex(f.at0()))
-    for k in range(n + 1):
-        w = f0c * np.conj(complex(bas.monic[k].at0())) / float(bas.norms_sq[k])
-        out[: k + 1] += w * np.asarray(bas.monic[k].coeffs)
-    return Series.from_complex(out)
+    f0c = f.at0().conjugate()
+    out = f.like([0])
+    for psi, s in zip(bas.monic, bas.norms_sq):
+        out = poly_add(out, scale(psi, f0c * psi.at0().conjugate() / s))
+    return out
 
 
 def phi_from_diff(p_n: Series, p_prev: Series, f0, phi_n_at_zero) -> Series:
     """Reconstruct phi_n from consecutive optimal approximants:
     phi_n = (p_n - p_{n-1}) / (conj(phi_n(0)) conj(f(0)))."""
-    from .series import poly_sub
-
-    if (isinstance(phi_n_at_zero, ExactComplex) and phi_n_at_zero.is_zero) or \
-            (not isinstance(phi_n_at_zero, ExactComplex) and abs(complex(phi_n_at_zero)) == 0):
+    phi0 = p_n.scalar(phi_n_at_zero)
+    if phi0 == 0:
         raise DegenerateError("phi_n(0) = 0: reconstruction from differences impossible")
-    diff = poly_sub(p_n, p_prev)
-    if diff.backend == "exact":
-        denom = ExactComplex.coerce(phi_n_at_zero).conjugate() * \
-            ExactComplex.coerce(f0).conjugate()
-        return scale(diff, ExactComplex(1) / denom)
-    denom = np.conj(complex(phi_n_at_zero)) * np.conj(complex(f0))
-    return scale(diff, 1.0 / denom)
+    return scale(poly_sub(p_n, p_prev), 1 / (phi0.conjugate() * p_n.scalar(f0).conjugate()))
 
 
 def phi_abs_at_zero(p_n_at_zero, p_prev_at_zero, f0) -> float:
@@ -185,23 +164,10 @@ def szego_identity_residual(f: Series, n: int, alpha=0) -> float:
     if float(alpha) != 0.0:
         raise UnsupportedAlphaError("the reflected-polynomial identity holds for alpha = 0")
     bas = basis(f, n, 0)
-    if f.backend == "exact":
-        # scaled identity: reflect(psi_n, n) = s_n sum_k conj(psi_k(0)) psi_k / s_k
-        lhs = reflect(bas.monic[n], n)
-        rhs = [ExactComplex(0)] * (n + 1)
-        s_n = Fraction(bas.norms_sq[n])
-        for k in range(n + 1):
-            w = ExactComplex(s_n / bas.norms_sq[k]) * bas.monic[k].at0().conjugate()
-            for j in range(k + 1):
-                rhs[j] = rhs[j] + w * bas.monic[k][j]
-        worst = max(float(abs(complex(lhs[j] - rhs[j]))) for j in range(n + 1))
-        return worst / math.sqrt(float(s_n))
-    phis = bas.phis
-    lhs = np.zeros(n + 1, dtype=np.complex128)
-    refl = reflect(phis[n], n)
-    lhs[: len(refl)] = refl.coeffs
-    A_n = bas.leading_coefficients()[n]
-    rhs = np.zeros(n + 1, dtype=np.complex128)
-    for k in range(n + 1):
-        rhs[: k + 1] += (np.conj(complex(phis[k].at0())) / A_n) * np.asarray(phis[k].coeffs)
-    return float(np.max(np.abs(lhs - rhs)))
+    # scaled identity: reflect(psi_n, n) = s_n sum_k conj(psi_k(0)) psi_k / s_k
+    s_n = bas.norms_sq[n]
+    rhs = f.like([0])
+    for psi, s in zip(bas.monic, bas.norms_sq):
+        rhs = poly_add(rhs, scale(psi, psi.at0().conjugate() * (s_n / s)))
+    diff = poly_sub(reflect(bas.monic[n], n), rhs)
+    return max(abs(complex(c)) for c in diff.coeffs) / math.sqrt(float(s_n))

@@ -13,7 +13,6 @@ pure, so Series may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +23,12 @@ from .exact import ExactComplex
 #: zero when computing the effective degree, so root extraction never
 #: divides by noise.
 DEGREE_EPSILON = 1e-11
+
+#: Below this largest modulus M the threshold is relative, DEGREE_EPSILON
+#: * M, the ratio it has at unit scale, so a polynomial far below unit
+#: scale keeps its degree.  Above it the threshold stays absolute, the
+#: rule the root checks of perfbench/oracles.py apply.
+DEGREE_SCALE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +60,18 @@ class Series:
         arr.setflags(write=False)
         return Series(arr, is_exact_polynomial)
 
+    def scalar(self, x):
+        """``x`` as a scalar of this series' backend: an ExactComplex (a
+        float is refused) or a Python complex."""
+        return ExactComplex.coerce(x) if self.backend == "exact" else complex(x)
+
+    def like(self, values) -> "Series":
+        """A polynomial of this series' backend with coefficients ``values``:
+        scalars of that backend, or numbers that :meth:`scalar` accepts."""
+        if self.backend == "exact":
+            return Series(tuple(map(ExactComplex.coerce, values)))
+        return Series.from_complex(values)
+
     # -- structure ------------------------------------------------------
 
     @property
@@ -67,7 +84,9 @@ class Series:
 
     @property
     def degree(self) -> int:
-        """Effective degree: largest index with a nonzero coefficient.
+        """Effective degree: largest index with a nonzero coefficient; in
+        the float backend, with a modulus above DEGREE_EPSILON, times the
+        largest modulus when that is below DEGREE_SCALE.
 
         Returns -1 for the zero series.
         """
@@ -76,8 +95,11 @@ class Series:
                 if not self.coeffs[k].is_zero:
                     return k
             return -1
-        nz = np.nonzero(np.abs(self.coeffs) > DEGREE_EPSILON)[0]
-        return int(nz[-1]) if len(nz) else -1
+        a = np.abs(self.coeffs)
+        scale = a.max()
+        nonzero = a > DEGREE_EPSILON * (scale if scale < DEGREE_SCALE else 1.0)
+        k = len(a) - 1 - int(np.argmax(nonzero[::-1]))
+        return k if nonzero[k] else -1
 
     @property
     def is_zero(self) -> bool:
@@ -90,7 +112,7 @@ class Series:
         """Coefficient of z^k; indices beyond the stored range read as 0."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return ExactComplex(0) if self.backend == "exact" else 0j
+        return self.scalar(0)
 
     def at0(self):
         return self.coeffs[0]
@@ -115,14 +137,8 @@ def _check_same_backend(p: Series, q: Series) -> str:
 
 def poly_eval(p: Series, z):
     """Evaluate sum_k p_k z^k by Horner's rule over the stored coefficients."""
-    if p.backend == "exact":
-        z = ExactComplex.coerce(z)
-        acc = ExactComplex(0)
-        for c in reversed(p.coeffs):
-            acc = acc * z + c
-        return acc
-    z = complex(z)
-    acc = 0j
+    z = p.scalar(z)
+    acc = p.scalar(0)
     for c in reversed(p.coeffs):
         acc = acc * z + c
     return acc

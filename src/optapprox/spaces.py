@@ -250,8 +250,6 @@ def _f0_nonzero(f: Series) -> None:
 
 
 def _truncate(f: Series, m: int) -> Series:
-    if f.backend == "float":
-        return Series.from_complex(f.coeffs[: m + 1], f.is_exact_polynomial)
     return Series(f.coeffs[: m + 1], f.is_exact_polynomial)
 
 

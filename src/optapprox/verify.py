@@ -18,6 +18,25 @@ from .exact import format_rational
 from .series import Series
 
 
+# -- the golden table: the paper's values, read by the checks below and
+# by the acceptance tests
+
+#: Coefficients of the optimal approximants p_1, p_2, p_3 to 1/(1+z)^3 in
+#: D_{-2}.
+BINOMIAL_CUBE = {
+    1: ["741/1694", "-775/1694"],
+    2: ["961/1638", "-1571/1638", "172/273"],
+    3: ["571/826", "-3427/2478", "591/413", "-133/177"],
+}
+
+#: Limit of the first zero of the eta family at eta = 1, alpha = -2.
+EULER_FIRST_ZERO = (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)
+
+#: Limit of the (extraneous) first zero of the eta family at eta = 0.8,
+#: alpha = -1.
+BERGMAN_FIRST_ZERO = 119 / 121
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -34,15 +53,10 @@ def _rational_strings(p: Series):
 
 def _check_binomial_cube() -> CheckResult:
     f = Series.exact([1, 3, 3, 1])
-    expected = {
-        1: ["741/1694", "-775/1694"],
-        2: ["961/1638", "-1571/1638", "172/273"],
-        3: ["571/826", "-3427/2478", "591/413", "-133/177"],
-    }
     observed = {n: _rational_strings(approximant.optimal(f, n, -2).p)
-                for n in (1, 2, 3)}
-    return CheckResult("binomial_cube_fractions", observed == expected,
-                       str(expected), str(observed))
+                for n in BINOMIAL_CUBE}
+    return CheckResult("binomial_cube_fractions", observed == BINOMIAL_CUBE,
+                       str(BINOMIAL_CUBE), str(observed))
 
 
 def _check_cesaro() -> CheckResult:
@@ -76,19 +90,18 @@ def _check_hardy_power() -> CheckResult:
 def _check_euler_value() -> CheckResult:
     spec = families.FunctionSpec("eta_family", {"eta": 1, "truncation": 10 ** 6}, "float")
     z1, _ = zeros.first_zero_with_tail(families.realize(spec), -2)
-    target = (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)
-    err = abs(complex(z1) - target)
+    err = abs(complex(z1) - EULER_FIRST_ZERO)
     return CheckResult("euler_first_zero", err <= 1e-5,
-                       f"{target:.10f} +- 1e-5", f"{complex(z1).real:.10f} (err {err:.2e})")
+                       f"{EULER_FIRST_ZERO:.10f} +- 1e-5",
+                       f"{complex(z1).real:.10f} (err {err:.2e})")
 
 
 def _check_bergman_value() -> CheckResult:
     spec = families.FunctionSpec("eta_family", {"eta": 0.8, "truncation": 10 ** 6}, "float")
     z1, tail = zeros.first_zero_with_tail(families.realize(spec), -1)
-    target = 119.0 / 121.0
-    err = abs(complex(z1) - target)
+    err = abs(complex(z1) - BERGMAN_FIRST_ZERO)
     return CheckResult("bergman_first_zero", err <= 1e-2,
-                       f"{target:.10f} +- 1e-2",
+                       f"{BERGMAN_FIRST_ZERO:.10f} +- 1e-2",
                        f"{complex(z1).real:.10f} (err {err:.2e}, tail {tail:.2e})")
 
 

@@ -84,35 +84,80 @@ def _cluster(roots: list) -> list:
     return out
 
 
+def _float_view(p: Series, d: int) -> np.ndarray:
+    """Coefficients 0..d of p as complex128.  A float p is taken as it is.
+    An exact p is multiplied by the power of two that brings its largest
+    real or imaginary part to about 1, and each part is rounded once, so a
+    coefficient leaves the float range only when the coefficients span
+    more than it.  Where they do not, the view is that power of two times
+    the rounded coefficients exactly, and has the same roots."""
+    if p.backend == "float":
+        return np.asarray(p.coeffs[: d + 1])
+    coeffs = p.coeffs[: d + 1]
+    k = -max(q.numerator.bit_length() - q.denominator.bit_length()
+             for c in coeffs for q in (c.re, c.im) if q)
+
+    # q * 2^k rounded once, as float(Fraction) rounds, without the gcd of
+    # a Fraction product (ten times the cost of this view)
+    def part(q):
+        if k >= 0:
+            return (q.numerator << k) / q.denominator
+        return q.numerator / (q.denominator << -k)
+
+    return np.array([complex(part(c.re), part(c.im)) for c in coeffs])
+
+
 def poly_roots(p: Series) -> ZeroSet:
     """All complex roots of p (with multiplicity), via the companion
-    matrix of the monic normalization plus Newton refinement.
+    matrix of the monic normalization plus Newton refinement.  A constant
+    has none, and the zero polynomial raises DegenerateError.
 
-    Newton runs on all roots at once; each root stops after 5 steps, or
-    when p' vanishes or |p| stops decreasing, and keeps its best iterate.
+    The degree is p's own (see Series.degree), and the roots are those of
+    its float view (see _float_view), so an exact p far from unit scale
+    keeps them.  When the monic normalization of the view overflows, they
+    cannot be computed in floats: OverflowError.  Newton runs on all
+    roots at once; each root stops after 5 steps, or when p' vanishes or
+    |p| stops decreasing, and keeps its best iterate.
 
-    Each reported residual is |p(zeta)| / max(1, |zeta|)^deg: dividing by
-    the growth of the largest monomial makes the tolerance meaningful for
-    roots outside the unit disk, where |p(zeta)| itself carries rounding
-    error proportional to |zeta|^deg.
+    Each reported residual is |p(zeta)| / max(1, |zeta|)^deg, with p the
+    float view: dividing by the growth of the largest monomial makes the
+    tolerance meaningful for roots outside the unit disk, where |p(zeta)|
+    itself carries rounding error proportional to |zeta|^deg.
     """
-    pf = p.to_float()
-    d = pf.degree
+    d = p.degree
     if d < 0:
         raise DegenerateError("the zero polynomial has no well-defined root set")
-    coeffs = np.asarray(pf.coeffs[: d + 1], dtype=np.complex128)
     if d == 0:
         return ZeroSet((), 0, ())
-    polished = _newton_polish(coeffs, np.roots(coeffs[::-1]))
-    roots = tuple(_cluster(polished.tolist()))
-    scale = float(np.max(np.abs(coeffs)))
+    coeffs = _float_view(p, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        monic = coeffs[:d] / coeffs[d]
+    if not np.isfinite(monic).all():
+        raise OverflowError("the coefficients of p span more than the float range, "
+                            "so its roots cannot be computed in floats")
+    z = np.roots(coeffs[::-1]).astype(np.complex128)
+    # a far root overflows p(zeta) and |zeta|^deg: Newton keeps it as it
+    # is, and its residual is taken as |zeta^-deg p(zeta)|, a polynomial
+    # in 1/zeta
+    with np.errstate(over="ignore"):
+        far = np.isinf(np.maximum(1.0, np.abs(z)) ** d)
+    z[~far] = _newton_polish(coeffs, z[~far])
+    if far.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            z[far] = _newton_polish(coeffs, z[far])
+    roots = tuple(_cluster(z.tolist()))
     z = np.array(roots)
-    residuals = tuple((np.abs(np.polyval(coeffs[::-1], z))
-                       / np.maximum(1.0, np.abs(z)) ** d).tolist())
-    worst = max(residuals, default=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.maximum(1.0, np.abs(z)) ** d
+        residuals = np.abs(np.polyval(coeffs[::-1], z)) / growth
+    far = np.isinf(growth)
+    if far.any():
+        residuals[far] = np.abs(np.polyval(coeffs, 1 / z[far]))
+    scale = float(np.max(np.abs(coeffs)))
+    worst = float(residuals.max())
     if worst > 1e-6 * scale:
         raise DegenerateError(f"root residual {worst:.3e} too large for scale {scale:.3e}")
-    return ZeroSet(roots, d, residuals)
+    return ZeroSet(roots, d, tuple(residuals.tolist()))
 
 
 def first_zero(f: Series, alpha):
@@ -170,11 +215,7 @@ class ZeroBoundCheck:
 def zero_bound_check(f: Series, n: int, alpha) -> ZeroBoundCheck:
     """Verify the zero-location bound: roots of p_n lie outside the closed
     unit disk for alpha >= 0 and outside radius 2^(alpha/2) for alpha < 0."""
-    p = optimal(f, n, alpha).p
-    if p.to_float().degree < 1:
-        zs = ZeroSet((), max(p.to_float().degree, 0), ())
-    else:
-        zs = poly_roots(p)
+    zs = poly_roots(optimal(f, n, alpha).p)
     bound = 1.0 if float(alpha) >= 0 else 2.0 ** (float(alpha) / 2.0)
     mm = zs.min_modulus
     return ZeroBoundCheck(zs, mm, bound, mm > bound - 1e-9)

@@ -19,6 +19,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, equal_quantities,
 from optapprox.cli import main
 from optapprox.linsolve import solve_hpd_float
 from optapprox.orthopoly import basis
+from optapprox.verify import BERGMAN_FIRST_ZERO, BINOMIAL_CUBE, EULER_FIRST_ZERO
 
 ONE_MINUS_Z = Series.exact([1, -1])
 CUBE = Series.exact([1, 3, 3, 1])
@@ -35,15 +36,7 @@ def test_acceptance_1_exact_golden_values():
     timings = {}
 
     t0 = time.perf_counter()
-    expected = {
-        1: [Fraction(741, 1694), Fraction(-775, 1694)],
-        2: [Fraction(961, 1638) * r for r in
-            (Fraction(1), Fraction(-1571, 961), Fraction(1032, 961))],
-        3: [Fraction(571, 826) * r for r in
-            (Fraction(1), Fraction(-3427, 1713), Fraction(1182, 571),
-             Fraction(-1862, 1713))],
-    }
-    for n, coeffs in expected.items():
+    for n, coeffs in BINOMIAL_CUBE.items():
         observed = optimal(CUBE, n, -2).p.coeffs
         assert list(observed) == [ExactComplex(c) for c in coeffs]
     timings["binomial-cube fractions"] = time.perf_counter() - t0
@@ -91,18 +84,17 @@ def test_acceptance_2_euler_constant_value():
                              "float"))
     value, tail = first_zero_with_tail(f, -2)
     elapsed = time.perf_counter() - t0
-    target = (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)
-    err = abs(complex(value).real - target)
+    err = abs(complex(value).real - EULER_FIRST_ZERO)
     assert err <= 1e-5
     assert elapsed < 10.0
     print(f"ACCEPTANCE 2: PASS — first zero {complex(value).real:.8f} vs "
-          f"(8pi^2-57)/(8pi^2-54) = {target:.8f}, err {err:.2e} <= 1e-5, "
+          f"(8pi^2-57)/(8pi^2-54) = {EULER_FIRST_ZERO:.8f}, err {err:.2e} <= 1e-5, "
           f"tail {tail:.2e}, {elapsed:.1f}s")
 
 
 def test_acceptance_3_bergman_extraneous_zero():
     t0 = time.perf_counter()
-    target = 119.0 / 121.0
+    target = BERGMAN_FIRST_ZERO
     errors = []
     M = 10 ** 5
     while M < 10 ** 7:

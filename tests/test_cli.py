@@ -193,6 +193,9 @@ class TestErrorsAndExitCodes:
         ("--backend", "float", "--f", '{"coefficients":[null]}'),
         ("--backend", "float", "--f",
          '{"family":"eta_family","params":{"eta":1,"truncation":"x"}}'),
+        ("--backend", "exact", "--f", '{"coefficients":[0.1,1]}'),
+        ("--backend", "exact", "--f", '{"coefficients":[{"re":0.1},1]}'),
+        ("--backend", "exact", "--f", '{"coefficients":[1,{"re":1,"im":2.5}]}'),
     ])
     def test_mistyped_spec_is_validation_error(self, capsys, argv):
         code, _, err = run(capsys, "approximant", "--n", "1", *argv)
@@ -357,6 +360,10 @@ FLOAT_F = ("--backend", "float", "--f", ONE_MINUS_Z)
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "nan"), id="z-nan"),
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "1e400"), id="z-overflow"),
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--w=0.5,-inf"), id="w-infinite"),
+    pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "1", "--format", "csv"),
+                 id="approximant-format"),
+    pytest.param(("levinson", "--f", ONE_MINUS_Z, "--n", "1", "--format", "json"),
+                 id="levinson-format"),
 ])
 def test_malformed_command_line_is_json_validation_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -370,6 +377,14 @@ def test_float_view_beyond_the_float_range_exits_3(capsys):
     # ||f||^2 = 1 + 10^400 is exact, but the phis need 1/sqrt of its float
     code, out, err = run(capsys, "orthopoly", "--n", "0",
                          "--f", '{"coefficients":[1,%d]}' % 10 ** 200)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+def test_root_beyond_the_float_range_exits_3(capsys):
+    # p_1 = c (1 - z/r) with r = 10^400 + 10^-400: no float holds its root
+    code, out, err = run(capsys, "approximant", "--n", "1",
+                         "--f", '{"coefficients":["1/%d",1]}' % 10 ** 400)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "OverflowError"
 

@@ -1,6 +1,7 @@
 """The CLI contract on hostile exact specs: every input ends in exit 0, 2,
 3 or 4; a refusal prints nothing on stdout and one JSON error on stderr;
-an accepted approximant equals an independent exact solve."""
+an accepted approximant equals an independent exact solve.  And scaling
+f by c scales p_n by 1/c and keeps its zeros, however far c is from 1."""
 
 import contextlib
 import io
@@ -8,11 +9,14 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optapprox import ExactComplex, Series, shifted_inner
 from optapprox.cli import main
+from optapprox.exact import format_rational
 
 from conftest import exact_gauss_solve
 
@@ -31,7 +35,7 @@ ratios = st.builds(lambda p, q: f"{p}/{q}", st.one_of(small, huge), st.integers(
 parts = st.one_of(small.map(lambda v: (v, Fraction(v))),
                   ratios.map(lambda s: (s, _fraction(s))))
 junk = st.sampled_from([True, False, None, 0.5, float("inf"), "abc", "nan", "inf",
-                        "1/0", [1], {"re": True}, {"im": None}])
+                        "1/0", [1], {"re": True}, {"im": None}, {"re": 0.5}])
 
 
 @st.composite
@@ -126,3 +130,44 @@ def test_exact_spec_contract(coeffs, alpha, n, command):
         f = Series(tuple(values), True)
         got = [parse_scalar(c) for c in json.loads(out)["coefficients"]]
         assert got == oracle_approximant(f, n, int(float(alpha)))
+
+
+def approximant_output(coeffs, *argv):
+    code, out, err = run("approximant", "--f", json.dumps({"coefficients": coeffs}), *argv)
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small, min_size=2, max_size=4).filter(lambda a: a[0] != 0),
+       st.integers(-2, 2), st.integers(1, 6), st.sampled_from([-1400, -40, 40, 1400]))
+def test_scaling_f_scales_exact_p_and_keeps_its_zeros(a, alpha, n, e):
+    # c = 2^e: the float views of p_n for f and c f differ by a power of
+    # two, so their roots are the same floats
+    c = Fraction(2) ** e
+    argv = ("--n", str(n), f"--alpha={alpha}")
+    base = approximant_output(a, *argv)
+    scaled = approximant_output([format_rational(c * x) for x in a], *argv)
+    p = [parse_scalar(x) for x in base["coefficients"]]
+    assert [parse_scalar(x) for x in scaled["coefficients"]] == [x / c for x in p]
+    assert len(base["zeros"]) == max(k for k, x in enumerate(p) if x != 0)
+    assert scaled["zeros"] == base["zeros"]
+
+
+@pytest.mark.parametrize("c", [1e12, 1e100])
+@pytest.mark.parametrize("a, n", [([1.0, 0.5], 3), ([3.0, -1.0, 2.0], 3),
+                                  ([1.0, 2.0, 2.0, 1.0], 3),
+                                  ([1.0, 0.1], 6)])   # c_6 ~ 1e-6 |p|
+@pytest.mark.parametrize("alpha", ["-1", "0", "1.5"])
+def test_scaling_f_scales_float_p_and_keeps_its_zeros(a, n, c, alpha):
+    argv = ("--n", str(n), f"--alpha={alpha}", "--backend", "float")
+    base = approximant_output(a, *argv)
+    scaled = approximant_output([c * x for x in a], *argv)
+    p, q = ([complex(x["re"], x["im"]) if isinstance(x, dict) else x
+             for x in out["coefficients"]] for out in (base, scaled))
+    np.testing.assert_allclose(np.array(q) * c, p, rtol=1e-12, atol=0)
+    want, got = ([complex(z["re"], z["im"]) for z in out["zeros"]] for out in (base, scaled))
+    assert len(want) == len(got) == n
+    for z in want:
+        i = min(range(len(got)), key=lambda i: abs(got[i] - z))
+        assert abs(got.pop(i) - z) <= 1e-9 * abs(z)

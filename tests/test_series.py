@@ -116,6 +116,14 @@ class TestDegree:
     def test_float_noise_below_epsilon(self):
         assert Series.from_complex([1.0, 1e-13]).degree == 0
 
+    def test_float_threshold_shrinks_with_a_polynomial_below_unit_scale(self):
+        assert Series.from_complex([1e-12, -5e-13, 2e-13]).degree == 2
+        assert Series.from_complex([1e-12, -5e-13, 1e-19]).degree == 2
+        assert Series.from_complex([1e-12, -5e-13, 5e-24]).degree == 1
+        assert Series.from_complex([0.03, 1e-10, 5e-12]).degree == 1
+        assert Series.from_complex([1.0, 1e200, np.inf]).degree == 2
+        assert Series.from_complex([0.0, 0.0]).degree == -1
+
 
 # -- properties ----------------------------------------------------------
 

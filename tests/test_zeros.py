@@ -58,6 +58,20 @@ class TestPolyRoots:
             scale = float(np.max(np.abs(c)))
             assert all(r <= 1e-8 * scale for r in zs.residuals)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [
+        Series.exact([10 ** 100, -(10 ** 200 + Fraction(1, 10 ** 100)), 1]),
+        Series.from_complex([1e100, -1e200, 1.0])])
+    def test_root_whose_power_overflows(self, p):
+        # (z - 1e-100)(z - 1e200): |z|^2 overflows at the far root, whose
+        # residual is |z^-2 p(z)|
+        zs = poly_roots(p)
+        far, near = sorted(zs.roots, key=abs, reverse=True)
+        assert far == pytest.approx(1e200, rel=1e-12)
+        assert near == pytest.approx(1e-100, rel=1e-12)
+        assert all(math.isfinite(r) for r in zs.residuals)
+        assert zs.residuals[zs.roots.index(far)] <= 1e-12
+
 
 def _newton_polish_scalar(coeffs, z, iterations=5):
     """Reference: the guarded Newton iteration one root at a time."""
