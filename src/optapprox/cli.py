@@ -23,8 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import approximant, families, kernels, levinson, orthopoly, verify, zeros
-from .errors import (BreakdownError, ConditioningError, InstabilityError,
-                     OptApproxError, SpecValidationError, ZeroAtOriginError)
+from .errors import OptApproxError, SpecValidationError
 from .exact import ExactComplex, format_rational
 from .series import Series
 
@@ -32,15 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
-
-_ERROR_MODULE = {
-    ConditioningError: "approximant",
-    InstabilityError: "orthopoly",
-    BreakdownError: "levinson",
-    ZeroAtOriginError: "dalpha",
-    SpecValidationError: "families",
-}
-
 
 def serialize_scalar(x):
     """JSON form of a backend scalar: rationals as 'p/q' strings, floats
@@ -57,10 +47,23 @@ def serialize_scalar(x):
     return {"re": c.real, "im": c.imag}
 
 
+def _raising_module(exc: Exception) -> str:
+    """The optapprox module that raised ``exc``: that of the innermost
+    frame of its traceback inside the package."""
+    module, tb = "optapprox", exc.__traceback__
+    while tb is not None:
+        # the module's spec, not its __name__, which is __main__ under -m
+        spec = tb.tb_frame.f_globals.get("__spec__")
+        if spec is not None and spec.name.startswith("optapprox."):
+            module = spec.name.rpartition(".")[2]
+        tb = tb.tb_next
+    return module
+
+
 def _emit_error(exc: Exception, code: int, module: str | None = None) -> int:
     payload = {
         "error": type(exc).__name__,
-        "module": module or _ERROR_MODULE.get(type(exc), "optapprox"),
+        "module": module or _raising_module(exc),
         "message": str(exc),
     }
     print(json.dumps(payload), file=sys.stderr)

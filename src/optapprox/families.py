@@ -13,12 +13,13 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import SpecValidationError
 from .exact import parse_rational
-from .series import Series
+from .series import BlockSeries, Series
 
 FAMILIES = ("one_minus_z_pow", "one_plus_z_pow", "blaschke", "eta_family", "explicit")
 
@@ -104,8 +105,60 @@ class FunctionSpec:
                 raise SpecValidationError("explicit family needs nonempty coefficients")
 
 
+def _blaschke_blocks(lam: complex, length: int, size: int):
+    """Coefficients 0..length-1 of (lambda - z)/(1 - conj(lambda) z) =
+    lambda + (|lambda|^2 - 1) sum_{k>=1} conj(lambda)^(k-1) z^k, in blocks
+    of ``size``: one table of powers conj(lambda)^j, j < size, times one
+    scalar power per block.  Real for a real lambda.  Each block is
+    overwritten by the next."""
+    if not lam.imag:
+        lam = lam.real
+    c = lam.conjugate()
+    s = abs(lam) ** 2 - 1.0
+    table = c ** np.arange(min(size, length))
+    out = np.empty_like(table)
+    for lo in range(0, length, size):
+        m = min(size, length - lo)
+        if lo == 0:
+            out[0] = lam
+            np.multiply(table[: m - 1], s, out=out[1:m])
+        else:
+            np.multiply(table[:m], s * c ** (lo - 1), out=out[:m])
+        yield out[:m]
+
+
+def _eta_blocks(eta: float, length: int, size: int):
+    """Coefficients a_0..a_{length-1} of (1+z)/(1-z)^eta, in blocks of
+    ``size``: a_k = g_k + g_{k-1} for the coefficients g_k of (1-z)^(-eta),
+    g_0 = 1 and g_k = g_{k-1} ((eta+k)-1)/k, g_{-1} = 0.  The running
+    product is carried from block to block in the order of one cumprod
+    over all k, so the coefficients do not depend on ``size``.  Each
+    block is overwritten by the next."""
+    size = min(size, length)
+    steps = np.arange(size, dtype=np.float64)
+    k, g, out = np.empty(size), np.empty(size + 1), np.empty(size)
+    for lo in range(0, length, size):
+        m = min(size, length - lo)
+        # g[0] = g_{lo-1} (0 at first, else carried), g[1:] = g_lo .. g_{hi-1}
+        g[0] = g[size] if lo else 0.0
+        r = g[1 + (lo == 0): m + 1]  # the ratios, for k >= 1
+        kr = np.add(steps[: len(r)], lo + m - len(r), out=k[: len(r)])
+        np.add(kr, eta, out=r)
+        np.subtract(r, 1.0, out=r)
+        np.divide(r, kr, out=r)
+        if lo == 0:
+            g[1] = 1.0
+        else:
+            g[1] *= g[0]
+        with np.errstate(over="ignore"):  # the float Gram check reports it
+            np.cumprod(g[1: m + 1], out=g[1: m + 1])
+        yield np.add(g[1: m + 1], g[:m], out=out[:m])
+
+
 def realize(spec: FunctionSpec) -> Series:
-    """Materialize a FunctionSpec as a Series in its backend."""
+    """Materialize a FunctionSpec as a Series in its backend.  The
+    truncated families (Blaschke, eta) are float :class:`BlockSeries`
+    that generate their coefficients block by block."""
     p = spec.params
     if spec.family in ("one_minus_z_pow", "one_plus_z_pow"):
         N = p["N"]
@@ -115,34 +168,11 @@ def realize(spec: FunctionSpec) -> Series:
             return Series.exact(coeffs)
         return Series.from_complex(coeffs)
     if spec.family == "blaschke":
-        lam = complex(p["lambda"])
         M = int(p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION))
-        coeffs = np.empty(M + 1, dtype=np.complex128)
-        coeffs[0] = lam
-        # (lambda - z)/(1 - conj(lambda) z) = lambda + (|lambda|^2 - 1) sum_{k>=1} conj(lambda)^(k-1) z^k
-        coeffs[1:] = (abs(lam) ** 2 - 1.0) * np.conj(lam) ** np.arange(M)
-        return Series.from_complex(coeffs, is_exact_polynomial=False)
+        return BlockSeries(M + 1, partial(_blaschke_blocks, complex(p["lambda"]), M + 1))
     if spec.family == "eta_family":
-        eta = float(p["eta"])
         M = int(p.get("truncation", ETA_DEFAULT_TRUNCATION))
-        # g_k: coefficients of (1-z)^(-eta); g_0 = 1, g_k = g_{k-1} ((eta+k)-1)/k,
-        # the ratios and their running product computed in place in g
-        k = np.arange(1, M + 1, dtype=np.float64)
-        g = np.empty(M + 1, dtype=np.float64)
-        g[0] = 1.0
-        r = g[1:]
-        np.add(k, eta, out=r)
-        np.subtract(r, 1.0, out=r)
-        np.divide(r, k, out=r)
-        del k
-        with np.errstate(over="ignore"):  # the float Gram check reports it
-            np.cumprod(r, out=r)
-        # a_k = g_k + g_{k-1}, written straight into the complex128 result
-        a = np.empty(M + 1, dtype=np.complex128)
-        a[0] = 1.0
-        a[1:] = g[1:]
-        a[1:] += g[:-1]
-        return Series.from_complex(a, is_exact_polynomial=False)
+        return BlockSeries(M + 1, partial(_eta_blocks, float(p["eta"]), M + 1))
     coeffs = p["coefficients"]
     if spec.backend == "exact":
         s = Series.exact(coeffs)

@@ -6,13 +6,18 @@ truncated analytic germ.  Two backends coexist:
 * ``exact`` -- a tuple of :class:`~optapprox.exact.ExactComplex`;
 * ``float`` -- a ``numpy`` array of ``complex128``.
 
+A long float series may instead be a :class:`BlockSeries`, whose
+coefficients a rule yields block by block (the truncated families of
+``families.py``); passes over :meth:`Series.blocks` never hold it whole.
+
 All values are immutable after construction and every operation here is
 pure, so Series may be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +85,7 @@ class Series:
 
     @property
     def truncation_degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
     @property
     def degree(self) -> int:
@@ -117,6 +122,17 @@ class Series:
     def at0(self):
         return self.coeffs[0]
 
+    def blocks(self, size: int):
+        """The float coefficients in consecutive blocks of ``size``, the
+        last one shorter: float64 arrays when every coefficient is real,
+        complex128 ones otherwise.  A block may be overwritten once the
+        next one is asked for."""
+        c = self.coeffs
+        if not c.imag.any():
+            c = c.real
+        for start in range(0, len(c), size):
+            yield c[start: start + size]
+
     def to_float(self) -> "Series":
         if self.backend == "float":
             return self
@@ -125,6 +141,51 @@ class Series:
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r}, backend={self.backend})"
+
+
+#: Coefficients per block when a BlockSeries is read whole.
+_READ_BLOCK = 1 << 14
+
+
+class BlockSeries(Series):
+    """A float series of ``length`` coefficients that ``rule(size)`` yields
+    in blocks, with the dtype and block sizes of :meth:`Series.blocks`.
+    ``coeffs`` is built, as complex128, only when some code reads it;
+    ``len``, ``backend``, ``at0`` and ``is_zero`` never build it."""
+
+    def __init__(self, length: int, rule):
+        object.__setattr__(self, "is_exact_polynomial", False)
+        object.__setattr__(self, "_length", length)
+        object.__setattr__(self, "_rule", rule)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        out = np.empty(self._length, dtype=np.complex128)
+        start = 0
+        for block in self.blocks(_READ_BLOCK):
+            out[start: start + len(block)] = block
+            start += len(block)
+        out.setflags(write=False)
+        return out
+
+    backend = "float"
+
+    def __len__(self):
+        return self._length
+
+    def blocks(self, size: int):
+        return self._rule(size)
+
+    def at0(self):
+        return np.complex128(next(self.blocks(1))[0])
+
+    @property
+    def is_zero(self) -> bool:
+        # the degree is -1 exactly when every coefficient is 0
+        return self.at0() == 0 and not any(b.any() for b in self.blocks(_READ_BLOCK))
+
+    def __repr__(self):
+        return f"BlockSeries(length={self._length}, rule={self._rule!r})"
 
 
 def _check_same_backend(p: Series, q: Series) -> str:

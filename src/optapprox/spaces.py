@@ -6,7 +6,12 @@ alpha = 1 the Dirichlet space.  The exact backend only admits integer
 alpha, so that every weight (k+1)^alpha stays rational.
 
 The float Gram matrix of shifted inner products is one blocked matrix
-product F^H W F over the coefficients (see :func:`gram_matrix`).  The
+product F^H W F over the coefficients, or at alpha = 0 the n+1 lags of
+its Toeplitz column (see :func:`gram_matrix`).  It is summed in one pass
+over the blocks of the series, so a truncated family is generated inside
+the pass and never held whole, and the same pass gives the matrix of the
+half truncation that :func:`gram` and ``zeros.first_zero_with_tail``
+read their tail estimates from (see :func:`gram_matrices`).  The
 exact one is built as integers: the numerators of its band, over one
 common denominator (see :func:`gram_numerators`), which the exact solver
 takes as they are.  The single entries of :func:`shifted_inner` stay as
@@ -19,14 +24,16 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import toeplitz
 
 from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
 from .linsolve import IntegerMatrix
-from .series import DEGREE_EPSILON, Series, poly_mul, shift
+from .series import DEGREE_EPSILON, Series, poly_mul
 
 
 def _check_alpha(backend: str, alpha) -> None:
@@ -146,33 +153,90 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # reported by the check at the end
-def _gram_float(c: np.ndarray, n: int, alpha) -> np.ndarray:
-    # Row m of F is (f_m, f_{m-1}, ..., f_{m-n}) for m = 0..len(c)+n-1
-    # (zero outside the stored range), so that
-    # (F^T W conj(F))[k, l] = sum_m (m+1)^alpha f_{m-k} conj(f_{m-l}).
-    if not c.imag.any():
-        c = c.real
-    rows = len(c) + n
-    acc = np.zeros((n + 1, n + 1), dtype=c.dtype)
-    for start in range(0, rows, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, rows)
-        # f_{start-n} .. f_{stop-1}, zero-padded outside the stored range
-        seg = np.zeros(stop - start + n, dtype=c.dtype)
-        lo, hi = max(start - n, 0), min(stop, len(c))
-        seg[lo - start + n: hi - start + n] = c[lo:hi]
-        # the block's rows of F, held transposed so that every elementwise
-        # pass runs along the series: Ft[k] = (f_{start-k}, ..., f_{stop-1-k})
-        Ft = sliding_window_view(seg, stop - start)[::-1]
-        A, C = Ft * _weights_float(start, stop, alpha), np.conj(Ft)
-        _product(A, C.T, acc)
-        del A, C  # before the next block's are made
-    M = (acc + acc.conj().T).astype(np.complex128) / 2
+def _gram_from(acc: np.ndarray) -> np.ndarray:
+    """The Hermitian complex128 Gram matrix from the sums of _gram_float:
+    its n+1 lags (a vector) or the matrix itself."""
+    if acc.ndim == 1:
+        # Toeplitz, with first column conj(r_k) and r_0 real
+        c = acc.astype(np.complex128)
+        c[0] = c[0].real
+        M = toeplitz(c, c.conj())
+    else:
+        M = (acc + acc.conj().T).astype(np.complex128) / 2
     if not np.isfinite(M).all():
         raise ConditioningError("float Gram matrix overflows the float range; "
                                 "use the exact backend")
     M.setflags(write=False)
     return M
+
+
+@np.errstate(over="ignore", invalid="ignore")  # reported by _gram_from
+def _gram_float(f: Series, n: int, alpha, H: int | None = None) -> tuple:
+    """The float Gram matrices of f and of f truncated at degree H (f
+    itself when H is None or not below its stored degree), from one pass
+    over the blocks of f.  Row m of F is (f_m, f_{m-1}, ..., f_{m-n}),
+    zero outside the stored range, so that
+    (F^T W conj(F))[k, l] = sum_m (m+1)^alpha f_{m-k} conj(f_{m-l});
+    the truncated matrix shares the rows m <= H and adds the n rows past
+    H, where the truncated f is 0.  At alpha = 0 the matrix is Toeplitz
+    and the pass sums only its first column G_k0 = conj(r_k), from the
+    lags r_k = sum_m f_m conj(f_{m-k}) (of the truncation: the sums to
+    m = H)."""
+    if H is not None and H >= len(f) - 1:
+        H = None
+    alpha = float(alpha)
+    lags = alpha == 0
+    blocks = f.blocks(_GRAM_BLOCK)
+    first = next(blocks)
+    blocks, dtype = chain([first], blocks), first.dtype
+    rows = len(f) + (0 if lags else n)
+    # the work arrays of one block, reused from block to block: fresh ones
+    # cost page faults, which tripled the time of a pass at n = 8
+    size = min(max(_GRAM_BLOCK, n), rows)
+    seg = np.zeros(size + n, dtype=dtype)
+    if lags:
+        conj = np.empty(size, dtype)
+    else:
+        base = np.arange(1, size + 1, dtype=np.float64)
+        w = np.empty(size)
+        A, C = np.empty((n + 1, size), dtype), np.empty((n + 1, size), dtype)
+
+    def add_rows(acc, seg, start):
+        # rows m = start..start+L-1, from seg = f_{start-n} .. f_{start+L-1};
+        # F's rows are held transposed, so that every elementwise pass runs
+        # along the series: Ft[k] = (f_{start-k}, ..., f_{start+L-1-k})
+        L = len(seg) - n
+        Ft = sliding_window_view(seg, L)[::-1]
+        if lags:
+            # conj(r_k) += sum_m conj(f_m) f_{m-k}, by einsum: as a BLAS
+            # matrix-vector product it goes to worker threads, and pieces
+            # of 31 x 2114 took up to 70 ms there, against 1 ms for the
+            # whole block by einsum (2 vCPUs)
+            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n:], out=conj[:L]))
+        else:
+            np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
+            _product(np.multiply(Ft, w[:L], out=A[:, :L]),
+                     np.conjugate(Ft, out=C[:, :L]).T, acc)
+
+    acc = np.zeros(n + 1 if lags else (n + 1, n + 1), dtype=dtype)
+    acc_h, L = acc, 0
+    for start in range(0, rows, _GRAM_BLOCK):
+        # f_{start-n} .. f_{start+L-1}, zero outside the stored range
+        seg[:n] = seg[L: L + n]
+        L = min(_GRAM_BLOCK, rows - start)
+        block = next(blocks, seg[:0])
+        seg[n: n + len(block)] = block
+        seg[n + len(block): n + L] = 0
+        if H is not None and start <= H < start + L:
+            acc_h = acc.copy()
+            add_rows(acc_h, seg[: H + 1 - start + n], start)
+            if n and not lags:
+                past = np.zeros(2 * n, dtype=dtype)  # f_{H+1-n} .. f_H, then zeros
+                past[:n] = seg[H + 1 - start: H + 1 - start + n]
+                add_rows(acc_h, past, H + 1)
+        add_rows(acc, seg[: n + L], start)
+    G = _gram_from(acc)
+    return G, G if acc_h is acc else _gram_from(acc_h)
 
 
 def gram_numerators(f: Series, n: int, alpha) -> IntegerMatrix:
@@ -223,12 +287,15 @@ def gram_matrix(f: Series, n: int, alpha):
 
     Float backend: one product M = F^H W F, where row m of F holds
     (f_m, f_{m-1}, ..., f_{m-n}) and W = diag((m+1)^alpha).  F is a
-    reversed sliding window over the zero-padded coefficients and the
-    product is accumulated over blocks of rows, so memory does not grow
-    with the series length.  Real coefficients (the eta family, say) run
-    the same product in float64.  The result is symmetrized into an
-    exactly Hermitian, read-only complex128 array; a matrix with an
-    entry that is not finite raises ConditioningError.
+    reversed sliding window over the zero-padded coefficients, and the
+    product is accumulated over blocks of rows taken from
+    ``f.blocks(_GRAM_BLOCK)``, so memory does not grow with the series
+    length, and a BlockSeries is generated inside the pass.  Real
+    coefficients (the eta family, say) run in float64.  At alpha = 0 the
+    matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
+    n+1 lags r_j = sum_m f_m conj(f_{m-j}): O(M n) instead of O(M n^2).
+    The result is an exactly Hermitian, read-only complex128 array; a
+    matrix with an entry that is not finite raises ConditioningError.
 
     Exact backend: the band of integer numerators of
     :func:`gram_numerators`, each nonzero one divided once by the common
@@ -236,8 +303,19 @@ def gram_matrix(f: Series, n: int, alpha):
     """
     _check_alpha(f.backend, alpha)
     if f.backend == "float":
-        return _gram_float(np.asarray(f.coeffs), n, alpha)
+        return _gram_float(f, n, alpha)[0]
     return gram_numerators(f, n, alpha).to_exact()
+
+
+def gram_matrices(f: Series, n: int, alpha, H: int) -> tuple:
+    """The float Gram matrices of :func:`gram_matrix` for f and for f
+    truncated at degree H (its coefficients 0..H), from one pass over f:
+    the two share the rows m <= H of F, and the truncated one adds the n
+    rows past H (at alpha = 0, its lags are the partial sums to m = H)."""
+    _check_alpha(f.backend, alpha)
+    if f.backend != "float":
+        raise BackendMismatchError("gram_matrices() needs a float series")
+    return _gram_float(f, n, alpha, H)
 
 
 def _f0_nonzero(f: Series) -> None:
@@ -249,28 +327,17 @@ def _f0_nonzero(f: Series) -> None:
         raise ZeroAtOriginError("f(0) = 0: optimal approximants need f(0) != 0")
 
 
-def _truncate(f: Series, m: int) -> Series:
-    return Series(f.coeffs[: m + 1], f.is_exact_polynomial)
-
-
 def gram(f: Series, n: int, alpha) -> GramSystem:
     """Assemble the Gram matrix of the degree-n approximant problem.
 
-    For truncated infinite families the entries are recomputed at half
-    the stored truncation degree, and the largest change is reported as
-    ``tail_error_bound``.  Despite its name this is an estimate of the
+    For a truncated infinite family, ``tail_error_bound`` is the largest
+    change of an entry between f and f truncated at half its stored
+    degree (at least n + 1), both from the one pass of
+    :func:`gram_matrices`.  Despite its name this is an estimate of the
     truncation error, not a bound: it can fall below the true error.
     """
     _f0_nonzero(f)
-    M = gram_matrix(f, n, alpha)
-    tail = 0.0
-    if not f.is_exact_polynomial:
-        half = _truncate(f, max(n + 1, (len(f) - 1) // 2))
-        Mh = gram_matrix(half, n, alpha)
-        if f.backend == "float":
-            tail = float(np.max(np.abs(M - Mh)))
-        else:
-            tail = max(
-                float(abs(complex(M[k][l] - Mh[k][l])))
-                for k in range(n + 1) for l in range(n + 1))
-    return GramSystem(M, tail)
+    if f.is_exact_polynomial:
+        return GramSystem(gram_matrix(f, n, alpha), 0.0)
+    M, Mh = gram_matrices(f, n, alpha, max(n + 1, (len(f) - 1) // 2))
+    return GramSystem(M, float(np.max(np.abs(M - Mh))))

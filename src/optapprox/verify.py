@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import approximant, families, kernels, levinson, orthopoly, zeros
+from . import approximant, families, levinson, orthopoly, zeros
 from .exact import format_rational
 from .series import Series
 

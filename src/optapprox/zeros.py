@@ -16,7 +16,7 @@ import numpy as np
 from .approximant import optimal
 from .errors import DegenerateError
 from .series import Series, poly_mul
-from .spaces import gram_matrix
+from .spaces import gram_matrices, gram_matrix
 
 #: Distinguished result of first_zero when <f, zf>_alpha = 0: the degree-1
 #: coefficient of p_1 vanishes and the zero escapes to infinity.
@@ -130,7 +130,7 @@ def poly_roots(p: Series) -> ZeroSet:
     if d == 0:
         return ZeroSet((), 0, ())
     coeffs = _float_view(p, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = coeffs[:d] / coeffs[d]
     if not np.isfinite(monic).all():
         raise OverflowError("the coefficients of p span more than the float range, "
@@ -172,9 +172,12 @@ def first_zero(f: Series, alpha):
     and its zero is interpreted as infinity); in the float backend, when
     it is rounding noise next to ||f|| ||z f||.
     """
-    G = gram_matrix(f, 1, alpha)
+    return _first_zero_of(gram_matrix(f, 1, alpha), f.backend)
+
+
+def _first_zero_of(G, backend: str):
     num, den = G[1][1], G[0][1]   # ||z f||^2, <f, z f>
-    if f.backend == "exact":
+    if backend == "exact":
         if den.is_zero:
             return NO_FINITE_ZERO
         return num / den
@@ -187,21 +190,26 @@ def first_zero(f: Series, alpha):
     return complex(num / den)
 
 
-def first_zero_with_tail(f: Series, alpha, safety: float = 4.0):
+#: Factor on the change of the first zero between f and its half
+#: truncation that first_zero_with_tail reports as its tail estimate.
+TAIL_SAFETY = 4.0
+
+
+def first_zero_with_tail(f: Series, alpha):
     """first_zero together with a doubling-based tail estimate.
 
-    The value is recomputed with f truncated to half its stored degree;
-    ``safety`` times the difference is reported as the error estimate
-    (the coefficient families in use decay geometrically under degree
-    doubling, so the remaining tail is a bounded multiple of one step).
+    For a truncated series the value is also computed for f truncated at
+    half its stored degree, from the same pass over f
+    (:func:`~optapprox.spaces.gram_matrices`); TAIL_SAFETY times the
+    difference is reported as the error estimate (the coefficient
+    families in use decay geometrically under degree doubling, so the
+    remaining tail is a bounded multiple of one step).
     """
-    v_full = first_zero(f, alpha)
     if f.is_exact_polynomial:
-        return v_full, 0.0
-    half = Series.from_complex(f.to_float().coeffs[: (len(f) - 1) // 2 + 1],
-                               is_exact_polynomial=False)
-    v_half = first_zero(half, alpha)
-    return v_full, safety * abs(complex(v_full) - complex(v_half))
+        return first_zero(f, alpha), 0.0
+    G, G_half = gram_matrices(f, 1, alpha, (len(f) - 1) // 2)
+    v_full, v_half = _first_zero_of(G, "float"), _first_zero_of(G_half, "float")
+    return v_full, TAIL_SAFETY * abs(complex(v_full) - complex(v_half))
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,19 @@ def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):
     assert json.loads(err)["error"] == "ConditioningError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("approximant", "--n", "1", "--f", '{"coefficients":[1e-12,5e-13]}'),
+     "ZeroAtOriginError"),
+    (("first-zero", "--f", OVERFLOWING_SPECS[1].values[0]), "ConditioningError"),
+], ids=["f0-zero", "gram-overflow"])
+def test_error_names_the_module_that_raised_it(capsys, argv, error):
+    # both are raised in spaces: the f(0) check and the float Gram check
+    code, out, err = run(capsys, *argv, "--backend", "float")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error and payload["module"] == "spaces"
+
+
 def test_rounding_noise_denominator_is_no_finite_zero(capsys):
     # <B, zB> = 0 for a Blaschke factor at alpha = 0; rounding leaves ~1e-17
     code, out, _ = run(capsys, "first-zero", "--backend", "float", "--alpha", "0",

@@ -70,6 +70,37 @@ class TestRealize:
         assert np.array_equal(f.coeffs, a.astype(np.complex128))
 
 
+class TestBlockRules:
+    @pytest.mark.parametrize("spec", [
+        FunctionSpec("eta_family", {"eta": 0.45, "truncation": 5000}, "float"),
+        FunctionSpec("blaschke", {"lambda": 0.3 - 0.8j, "truncation": 5000}, "float"),
+        FunctionSpec("blaschke", {"lambda": -0.7, "truncation": 5000}, "float"),
+    ], ids=["eta", "blaschke-complex", "blaschke-real"])
+    def test_blocks_join_into_the_coefficients(self, spec):
+        f = realize(spec)
+        # len, backend, at0 and is_zero read no coefficient array
+        assert (len(f), f.backend, f.is_zero) == (5001, "float", False)
+        assert f.at0() == (1.0 if spec.family == "eta_family" else spec.params["lambda"])
+        assert "coeffs" not in vars(f)
+        real = spec.family == "eta_family" or not complex(spec.params["lambda"]).imag
+        for size in (1, 7, 4096, 10 ** 4):
+            blocks = [b.copy() for b in f.blocks(size)]
+            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert all(b.dtype == (np.float64 if real else np.complex128) for b in blocks)
+            joined = np.concatenate(blocks)
+            if spec.family == "eta_family":   # the running product is carried exactly
+                assert np.array_equal(joined, f.coeffs)
+            else:   # a scalar power times a table of powers; |coefficients| <= 1
+                np.testing.assert_allclose(joined, f.coeffs, rtol=0, atol=1e-13)
+
+    def test_blaschke_coefficients(self):
+        lam, M = 0.6 + 0.7j, 3000
+        f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": M}, "float"))
+        want = np.concatenate([[lam], (abs(lam) ** 2 - 1) * np.conj(lam) ** np.arange(M)])
+        np.testing.assert_allclose(f.coeffs, want, rtol=0, atol=1e-13)
+        assert f.coeffs.dtype == np.complex128 and not f.coeffs.flags.writeable
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("family,params,backend", [
         ("one_minus_z_pow", {"N": 0}, "exact"),

@@ -11,7 +11,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
                        gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
 from optapprox.errors import BackendMismatchError, ZeroAtOriginError
-from optapprox.spaces import _GRAM_BLOCK, _product, gram_numerators
+from optapprox.spaces import _GRAM_BLOCK, _product, gram_matrices, gram_numerators
 
 from conftest import random_poly
 
@@ -356,3 +356,52 @@ def test_gram_numerators_need_the_exact_backend():
         gram_numerators(Series.from_complex([1.0, 0.5]), 2, 0)
     with pytest.raises(BackendMismatchError):
         gram_numerators(Series.exact([1, 1]), 2, 0.5)
+
+
+# -- one pass over a block-generated series, with its half truncation -------
+
+def _stored(f, degree=None):
+    """The coefficients 0..degree of f as a stored float series."""
+    c = np.asarray(f.coeffs)
+    return Series.from_complex(c if degree is None else c[: degree + 1],
+                               is_exact_polynomial=False)
+
+
+@pytest.mark.parametrize("kind", ["eta", "blaschke"])
+@pytest.mark.parametrize("length", [_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
+                                    2 * _GRAM_BLOCK + 3])
+def test_block_series_gram_matches_stored(kind, length):
+    # the eta family is real, the Blaschke factor complex; H is placed
+    # next to the block edges too
+    f = (eta_series(0.7, length - 1) if kind == "eta"
+         else blaschke_series(0.9995 * np.exp(0.4j), length - 1))
+    stored = _stored(f)
+    for n in (0, 1, 6, 30):
+        for alpha in (-1.5, 0, 1):
+            G = gram_matrix(f, n, alpha)
+            assert np.array_equal(G, gram_matrix(stored, n, alpha))
+            if n in (1, 30) and length > _GRAM_BLOCK:
+                assert_gram_matches_shifted_inner(f, n, alpha)
+            for H in (n + 1, _GRAM_BLOCK - n - 1, _GRAM_BLOCK - 1, _GRAM_BLOCK,
+                      length - 2):
+                if H >= length - 1:
+                    continue
+                G_full, G_H = gram_matrices(f, n, alpha, H)
+                assert np.array_equal(G_full, G)
+                ref = gram_matrix(_stored(f, H), n, alpha)
+                d = np.sqrt(np.outer(ref.diagonal().real, ref.diagonal().real))
+                assert np.all(np.abs(G_H - ref) <= 1e-13 * d)
+
+
+@pytest.mark.parametrize("f, n, alpha", [
+    (eta_series(0.8, 10 ** 4), 1, -1),
+    (eta_series(0.3, 3 * 10 ** 4), 6, 0),
+    (eta_series(0.2, 2 * 10 ** 4), 8, 0.5),
+    (blaschke_series(0.4 - 0.6j, 5 * 10 ** 4), 25, 0),
+    (blaschke_series(-0.9, 40), 30, -2),   # the half truncation is at n + 1
+])
+def test_tail_is_the_two_truncation_difference(f, n, alpha):
+    H = max(n + 1, (len(f) - 1) // 2)
+    want = np.max(np.abs(gram_matrix(_stored(f), n, alpha)
+                         - gram_matrix(_stored(f, H), n, alpha)))
+    assert gram(f, n, alpha).tail_error_bound == pytest.approx(want, rel=1e-12, abs=1e-12)

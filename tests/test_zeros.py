@@ -2,6 +2,7 @@
 fixed-point certification of zero sets."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestPolyRoots:
         assert near == pytest.approx(1e-100, rel=1e-12)
         assert all(math.isfinite(r) for r in zs.residuals)
         assert zs.residuals[zs.roots.index(far)] <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_monic_normalization_overflow_is_overflow_error(self):
+        # 1e300 / 1e-10 overflows: an OverflowError, not a RuntimeWarning
+        with pytest.raises(OverflowError, match="span more than the float range"):
+            poly_roots(Series.from_complex([1e300, 1e-10]))
 
 
 def _newton_polish_scalar(coeffs, z, iterations=5):
@@ -162,6 +169,36 @@ class TestFirstZero:
         assert tail > 0
         # the tail estimate brackets the known limit 119/121
         assert abs(complex(value).real - 119 / 121) <= tail
+
+    @pytest.mark.parametrize("f, alpha", [
+        (("eta_family", {"eta": 0.8, "truncation": 3 * 10 ** 4}), -1),
+        (("eta_family", {"eta": 0.3, "truncation": 2 ** 15}), 0),
+        (("blaschke", {"lambda": 0.5 - 0.7j, "truncation": 2 ** 14}), 1),
+        (("blaschke", {"lambda": 0.6, "truncation": 1}), -2),
+    ])
+    def test_tail_is_the_two_truncation_difference(self, f, alpha):
+        # first_zero_with_tail reads both zeros off one pass over f; they
+        # are those of f and of f truncated at half its stored degree
+        f = realize(FunctionSpec(*f, "float"))
+        c = np.asarray(f.coeffs)
+        half = Series.from_complex(c[: (len(c) - 1) // 2 + 1], is_exact_polynomial=False)
+        v_full = complex(first_zero(Series.from_complex(c), alpha))
+        v_half = complex(first_zero(half, alpha))
+        value, tail = first_zero_with_tail(f, alpha)
+        assert complex(value) == pytest.approx(v_full, rel=1e-12)
+        assert tail == pytest.approx(4 * abs(v_full - v_half), rel=1e-12, abs=1e-12)
+
+    def test_eta_first_zero_holds_no_series(self):
+        # the 1e7 coefficients are generated and summed block by block
+        f = realize(FunctionSpec("eta_family", {"eta": 0.8, "truncation": 10 ** 7},
+                                 "float"))
+        tracemalloc.start()
+        try:
+            first_zero_with_tail(f, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_tail_zero_for_exact_polynomials(self):
         value, tail = first_zero_with_tail(CUBE, -2)
