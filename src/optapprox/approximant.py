@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linsolve
 from .exact import abs_sq
-from .series import Series, poly_mul, poly_sub
+from .series import Series, poly_mul, poly_sub, scale
 from .spaces import _f0_nonzero, gram, gram_numerators, norm_sq
 
 
@@ -33,22 +33,17 @@ def _approximants(f: Series, degrees, alpha) -> list:
     of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
     gives conj(G) c = conj(f(0)) e_0, so c = conj(y) for G y = f(0) e_0,
     and the degree-n system is the leading (n+1)-block of G.  For an exact
-    polynomial f, G goes to the solver as its band of integer numerators."""
-    exact = f.backend == "exact"
+    polynomial f, G is its band of integer numerators (and np.conj
+    conjugates the exact y one by one)."""
     top = max(degrees)
-    if exact and f.is_exact_polynomial:
+    if f.backend == "exact" and f.is_exact_polynomial:
         _f0_nonzero(f)
         G, tail = gram_numerators(f, top, alpha), 0.0
     else:
         system = gram(f, top, alpha)
         G, tail = system.matrix, system.tail_error_bound
-    sizes = [n + 1 for n in degrees]
     f0 = f.at0()
-    b = (f0,) + (f.scalar(0),) * top
-    if exact:
-        y = [x.conjugate() for x in linsolve.solve_exact(G, b, sizes)]
-    else:
-        y = np.conj(linsolve.solve_hpd_float(G, b, sizes))
+    y = np.conj(linsolve.solve(linsolve.factor(G, f0), [n + 1 for n in degrees]))
     out, start = [], 0
     for n in degrees:
         p = f.like(y[start: start + n + 1])
@@ -110,24 +105,26 @@ class EqualQuantities:
 
 
 def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
-    # local imports: orthopoly and kernels do not import us
+    # one factorization of G, with B = I, gives p_n = conj(f(0) G^-1 e_0)
+    # and the basis (L^-1, D); local imports: orthopoly and kernels do not import us
     from .kernels import kernel_eval_from_basis
-    from .orthopoly import basis
+    from .orthopoly import _basis_from
 
+    G = gram(f, n, alpha).matrix
+    F = linsolve.factor(G)
     f0 = f.at0()
     f0_sq = abs_sq(f0)
-    res = optimal(f, n, alpha)
+    inv_col = linsolve.solve(F)
+    p = scale(f.like(np.conj(inv_col)), f0.conjugate())
+    # (a) and (c): Gram's Lemma, 1 - p_n(0) f(0)
+    dist = 1 - (p.at0() * f0).real
     # (b) ||p_n f - 1||^2 recomputed from the product
-    resid = norm_sq(poly_sub(poly_mul(res.p, f), f.like([1])), alpha)
-    # (c)
-    c = 1 - (res.p_at_zero * f0).real
-    # (d): first column of M^-1
-    solve = linsolve.solve_exact if f.backend == "exact" else linsolve.solve_hpd_float
-    inv_col = solve(gram(f, n, alpha).matrix, (f.scalar(1),) + (f.scalar(0),) * n)
+    resid = norm_sq(poly_sub(poly_mul(p, f), f.like([1])), alpha)
+    # (d): first column of G^-1
     d = 1 - inv_col[0].real * f0_sq
     # (e) via the orthonormal basis of the weighted space
-    bas = basis(f, n, alpha)
-    e = 1 - bas.phi_zero_sq_partial_sums()[-1] * f0_sq
+    bas = _basis_from(f, n, alpha, G, F)
+    e = 1 - sum(bas.phi_zero_sq(k) for k in range(n + 1)) * f0_sq
     # (f) via the reproducing-kernel evaluation, on the basis of (e)
     fq = 1 - kernel_eval_from_basis(bas, 0, 0).value.real
-    return EqualQuantities(res.distance_sq, resid, c, d, e, fq)
+    return EqualQuantities(dist, resid, dist, d, e, fq)

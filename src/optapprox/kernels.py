@@ -12,14 +12,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import linsolve
 from .approximant import optimal
 from .errors import DegenerateError, UnsupportedAlphaError
 from .exact import abs_sq
 from .orthopoly import OrthonormalBasis, basis
 from .series import Series, poly_eval, poly_mul
+from .spaces import _f0_nonzero, gram_matrix, gram_numerators
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,16 @@ def _verdict(distances) -> str:
 
 
 def cyclicity_report(f: Series, alpha, max_n: int) -> CyclicityReport:
-    """Tabulate p_n(0), the |phi_k(0)|^2 partial sums and d_n^2 for
-    n <= max_n from a single basis built at max_n."""
-    from .spaces import _f0_nonzero
-
+    """p_n(0), the |phi_k(0)|^2 partial sums and d_n^2 for n <= max_n, off
+    the forward pass of G = L D L^H with B = e_0: the rows of L^-1 are the
+    monic psi_k, so |phi_k(0)|^2 = |(L^-1 e_0)_k|^2 / D_k.  Float: refused
+    as the approximants of n <= max_n are."""
     _f0_nonzero(f)
-    bas = basis(f, max_n, alpha)
+    G = (gram_matrix if f.backend == "float" else gram_numerators)(f, max_n, alpha)
+    F = linsolve.factor(G, f.scalar(1))
+    col, norms = linsolve.forward(F, range(1, max_n + 2))
     f0 = f.at0()
-    sums = bas.phi_zero_sq_partial_sums()
-    f0c = f0.conjugate()
-    pn0 = tuple(f0c * s for s in sums)
+    sums = tuple(accumulate(abs_sq(x[0]) / s for x, s in zip(col, norms)))
+    pn0 = tuple(f0.conjugate() * s for s in sums)
     dists = tuple(1 - (p0 * f0).real for p0 in pn0)
-    target = 1 / abs_sq(f0)
-    return CyclicityReport(max_n, pn0, tuple(sums), target, dists,
-                           _verdict(dists))
+    return CyclicityReport(max_n, pn0, sums, 1 / abs_sq(f0), dists, _verdict(dists))

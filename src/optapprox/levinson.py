@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BreakdownError, DegenerateError
 from .exact import abs_sq
-from .series import Series, scale
+from .series import Series
 from .spaces import _f0_nonzero, norm_sq, shifted_inner
 
 
@@ -47,11 +47,12 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     """
     _f0_nonzero(f)
     inv_f0 = 1 / f.scalar(f.at0())
-    g = scale(f, inv_f0)
     # The normal equations read conj(M) c = e_0 with M_{k,l} = <z^k g, z^l g>
     # (see approximant._approximants), so the recursion runs on the
-    # conjugated autocorrelation column.
-    r = tuple(x.conjugate() for x in toeplitz_column(g, n))
+    # conjugated autocorrelation column of g, which is f's over |f(0)|^2.
+    autocorr = toeplitz_column(f, n)
+    f0_sq = abs_sq(f.at0())
+    r = tuple(x.conjugate() / f0_sq for x in autocorr)
 
     c = [1 / r[0]]
     history = [tuple(c)]
@@ -70,7 +71,7 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     # rescale from g back to f: p_n[f] = q_n[g] / f(0)
     history_f = tuple(tuple(ck * inv_f0 for ck in row) for row in history)
     return LevinsonState(n=n, coeffs=f.like(history_f[-1]), gammas=tuple(gammas),
-                         autocorr=toeplitz_column(f, n), history=history_f)
+                         autocorr=autocorr, history=history_f)
 
 
 def reflection_coefficients(state: LevinsonState):

@@ -1,19 +1,16 @@
-"""Linear solvers for the Hermitian positive-definite Gram systems.
+"""The one factorization of the Hermitian positive-definite Gram matrices.
 
-Float backend: Cholesky factorization, condition estimate from the factor.
-Exact backend: fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-over the integers or the Gaussian integers.  Its input is an
-:class:`IntegerMatrix`, integer numerators over one common denominator
-that store only the nonzero entries: the Gram band comes that way from
-``spaces.gram_numerators``, and rows of exact scalars are scaled once by
-the lcm of their denominators.  Fractions appear only in the results.
-The elimination skips zeros, bringing a skipped row up to date lazily
-(see :func:`_eliminate`), so a band matrix of width d costs O(n d^2)
-big-int steps.  The one elimination gives solutions, determinants (the
-last pivot) and, run on [G | I], the factors L^-1 and D of
-G = L D L^H that make the orthogonal basis.  Neither factorization reads
-past its current leading block, so both solvers read every leading
-system M[:m, :m] x = b[:m] off one factor.
+:func:`factor` reduces [G | B] once, to G = L D L^H with L unit lower
+triangular and L^-1 B, for B = b0 e_0 or B = I; :func:`solve` reads the
+leading systems G[:m, :m] x = B[:m, 0] off it, and :func:`forward` L^-1 B
+and D.  Float backend: Cholesky factorization, condition estimate from
+the factor.  Exact backend: fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968) over the integers or the Gaussian integers of an
+:class:`IntegerMatrix`, integer numerators over one denominator that
+store only the nonzero entries, as ``spaces.gram_numerators`` builds the
+Gram band (rows of exact scalars are scaled by the lcm of their
+denominators).  It skips zeros (see :func:`_eliminate`), so a band of
+width d costs O(n d^2) big-int steps.  Fractions appear only in results.
 """
 
 from __future__ import annotations
@@ -24,35 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import zpocon, zpotrf, zpotrs
+from scipy.linalg.lapack import zpocon, zpotrf, zpotrs, ztrtri, ztrtrs
 
-from .errors import ConditioningError, DegenerateError
+from .errors import ConditioningError, DegenerateError, InstabilityError
 from .exact import ExactComplex
 
 #: Condition estimate beyond which the float solver refuses and advises
 #: the exact backend.
 CONDITION_LIMIT = 1e14
-
-
-def solve_hpd_float(M: np.ndarray, b: np.ndarray, sizes=None) -> np.ndarray:
-    """Solutions of M[:m, :m] x = b[:m] for each m in ``sizes`` (default:
-    the whole system), one after another in one array, by Cholesky.  A
-    system is refused when LAPACK's estimate of its 1-norm condition
-    number (``zpocon``) exceeds the limit; it can differ from the 2-norm
-    one by up to a factor m either way."""
-    M = np.asarray(M, dtype=np.complex128)
-    c, info = zpotrf(M)  # M = U^H U; info > 0: leading minor of order info is not positive
-    out = []
-    for m in (len(b),) if sizes is None else sizes:
-        U = c[:m, :m]
-        rcond = zpocon(U, np.linalg.norm(M[:m, :m], 1))[0] if not 0 < info <= m else 0.0
-        cond = 1.0 / rcond if rcond > 0 else math.inf
-        if not cond <= CONDITION_LIMIT:
-            raise ConditioningError(
-                f"Gram matrix condition estimate {cond:.3e} exceeds 1e14; "
-                "use the exact backend")
-        out.append(zpotrs(U, np.asarray(b[:m], dtype=np.complex128))[0])
-    return np.concatenate(out)
 
 
 # Exact elimination runs over a ring: the integers for real matrices and
@@ -198,47 +174,6 @@ def _quotient(x, d) -> ExactComplex:
     return ExactComplex(Fraction(x, d))
 
 
-def solve_exact(M, b, sizes=None):
-    """Exact solutions of M[:m, :m] x = b[:m] for each m in ``sizes``
-    (default: the whole system), one after another in one flat tuple,
-    from one elimination of [M | b].  M is an IntegerMatrix or rows of
-    exact scalars; b holds exact scalars."""
-    n = len(b)
-    A = _as_integer(M)
-    # with b = c / q for integral c, x = z / q where (numerators of M) z is
-    # A.denominator c, the augmented column
-    q = math.lcm(*(p.denominator for x in b for p in (x.re, x.im)))
-    scale = A.denominator * q
-    gaussian = A.gaussian or any(x.im for x in b)
-    ring = _GAUSSIAN if gaussian else _INTEGERS
-    zero, _, mul, sub, div = ring
-    rows = _working_rows(A, gaussian)
-    for row, x in zip(rows, b):
-        if not x.is_zero:
-            re = x.re.numerator * (scale // x.re.denominator)
-            row[n] = (re, x.im.numerator * (scale // x.im.denominator)) if gaussian else re
-    minors = _eliminate(rows, n, ring)
-    out = []
-    for m in (n,) if sizes is None else sizes:
-        det = minors[m]
-        if det == zero:
-            raise DegenerateError("zero pivot in exact back substitution")
-        # Back substitution over the nonzero entries of U for y = det * z,
-        # which is integral by Cramer's rule, so each division by a pivot
-        # is exact; x = y / (det q).
-        y = [None] * m
-        for i in range(m - 1, -1, -1):
-            row = rows[i]
-            acc = mul(row.get(n, zero), det)
-            for j, u in row.items():
-                if i < j < m:
-                    acc = sub(acc, mul(u, y[j]))
-            y[i] = div(acc, row[i])
-        d = mul(det, (q, 0) if gaussian else q)
-        out.extend(_quotient(v, d) for v in y)
-    return tuple(out)
-
-
 def det_exact(M):
     """Exact determinant: the last pivot of the elimination."""
     A = _as_integer(M)
@@ -248,26 +183,114 @@ def det_exact(M):
     return _quotient(minors[n], A.denominator ** n)
 
 
-def inverse_ldl_exact(G):
-    """Rows of L^-1 and the diagonal of D for a Hermitian G = L D L^H,
-    given as an IntegerMatrix or as rows of exact scalars.
+class _FloatFactor:
+    def __init__(self, G: np.ndarray, b0):
+        # G = U^H U; info > 0: the leading minor of order info is not positive
+        self.G, (self.U, self.info), self.identity = G, zpotrf(G), b0 is None
+        self.b = np.eye(1, len(G), dtype=np.complex128)[0] * (1.0 if b0 is None else b0)
 
-    Row k of L^-1 has entries in columns 0..k only, with 1 at column k;
-    these are returned truncated to length k + 1, with D as Fractions.
-    Raises DegenerateError on a zero leading principal minor.
-    """
-    A = _as_integer(G)
-    n = len(A.rows)
-    ring = _GAUSSIAN if A.gaussian else _INTEGERS
-    zero, one = ring[:2]
-    rows = _working_rows(A, A.gaussian)
-    for k, row in enumerate(rows):
-        row[n + k] = one
-    minors = _eliminate(rows, n, ring)   # Delta_0..Delta_n
+
+class _ExactFactor:
+    def __init__(self, G, b0):
+        # [A | C] after _eliminate, for A = den G and C = q B
+        A = _as_integer(G)
+        n = len(A.rows)
+        q = 1 if b0 is None else math.lcm(b0.re.denominator, b0.im.denominator)
+        gaussian = A.gaussian or (b0 is not None and b0.im != 0)
+        self.ring = _GAUSSIAN if gaussian else _INTEGERS
+        self.rows = _working_rows(A, gaussian)
+        if b0 is None:
+            for k, row in enumerate(self.rows):
+                row[n + k] = self.ring[1]
+        elif not b0.is_zero:
+            re = b0.re.numerator * (q // b0.re.denominator)
+            self.rows[0][n] = (re, b0.im.numerator * (q // b0.im.denominator)) if gaussian else re
+        self.minors = _eliminate(self.rows, n, self.ring)
+        self.den, self.q = ((x, 0) if gaussian else x for x in (A.denominator, q))
+        self.identity = b0 is None
+
+
+def factor(G, b0=None):
+    """G = L D L^H and L^-1 B, for B = b0 e_0, or B = I when b0 is None: a
+    Cholesky factorization of a complex ndarray G, or a fraction-free
+    elimination of [G | B] for an exact G (an IntegerMatrix or rows of
+    exact scalars, with b0 an exact scalar)."""
+    return (_FloatFactor if isinstance(G, np.ndarray) else _ExactFactor)(G, b0)
+
+
+def _refuse(F: _FloatFactor, sizes) -> None:
+    """ConditioningError at the first block m in ``sizes`` whose estimate of
+    the 1-norm condition number (``zpocon``: a lower bound, within a factor m
+    of the 2-norm one) exceeds the limit.  cond_1(G[:m, :m]) <= sqrt(m)
+    cond_1(G), which is seldom 3 times its estimate: when that is below
+    limit / (100 sqrt(n)), no block can exceed the limit or is estimated."""
+    def cond(m):
+        rcond = zpocon(F.U[:m, :m], np.linalg.norm(F.G[:m, :m], 1))[0] \
+            if not 0 < F.info <= m else 0.0
+        return 1.0 / rcond if rcond > 0 else math.inf
+
+    n = len(F.G)
+    if sizes and cond(n) <= CONDITION_LIMIT / (100 * math.sqrt(n)):
+        return
+    for m in sizes:
+        if not (c := cond(m)) <= CONDITION_LIMIT:
+            raise ConditioningError(
+                f"Gram matrix condition estimate {c:.3e} exceeds 1e14; "
+                "use the exact backend")
+
+
+def solve(F, sizes=None):
+    """Solutions of G[:m, :m] x = B[:m, 0] for each m in ``sizes`` (default:
+    the whole system), one after another in one complex array or tuple of
+    exact scalars.  Float: refused blocks as in :func:`_refuse`."""
+    if isinstance(F, _FloatFactor):
+        sizes = (len(F.b),) if sizes is None else sizes
+        _refuse(F, sizes)
+        return np.concatenate([zpotrs(F.U[:m, :m], F.b[:m])[0] for m in sizes])
+    zero, _, mul, sub, div = F.ring
+    n, rows, out = len(F.minors) - 1, F.rows, []
+    for m in (n,) if sizes is None else sizes:
+        det = F.minors[m]
+        if det == zero:
+            raise DegenerateError("zero pivot in exact back substitution")
+        # Back substitution over the nonzero entries of U for y = det * z,
+        # where A z = C e_0: y is integral by Cramer's rule, so each
+        # division by a pivot is exact; x = den y / (det q).
+        y = [None] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            acc = mul(row.get(n, zero), det)
+            for j, u in row.items():
+                if i < j < m:
+                    acc = sub(acc, mul(u, y[j]))
+            y[i] = div(acc, row[i])
+        d = mul(det, F.q)
+        out.extend(_quotient(mul(v, F.den), d) for v in y)
+    return tuple(out)
+
+
+def forward(F, sizes=()):
+    """L^-1 B (for B = I, row k up to column k) and the diagonal of D: an
+    array and a list of floats, or tuples of exact scalars and a list of
+    Fractions.  Float: the leading blocks in ``sizes`` are refused as by
+    :func:`solve`, and a pivot that is not positive raises InstabilityError."""
+    if isinstance(F, _FloatFactor):
+        _refuse(F, sizes)
+        if F.info > 0:
+            raise InstabilityError(f"nonpositive norm at degree {F.info - 1}; "
+                                   "Gram matrix numerically singular")
+        d = F.U.diagonal().real
+        if F.identity:   # L^-1 = diag(d) U^-H, with its unit diagonal set
+            LB = d[:, None] * ztrtri(F.U)[0].conj().T
+            np.fill_diagonal(LB, 1.0)
+        else:            # one triangular solve U^H y = b; L^-1 b = d y
+            LB = d[:, None] * ztrtrs(F.U, F.b[:, None], trans=2)[0]
+        return LB, (d * d).tolist()
+    zero, mul, minors, n = F.ring[0], F.ring[2], F.minors, len(F.minors) - 1
     if minors[n] == zero:
         raise DegenerateError(f"zero weighted norm at degree {n - 1}")
-    inv = [tuple(_quotient(rows[k].get(n + j, zero), minors[k]) for j in range(k + 1))
-           for k in range(n)]
-    # G = A.rows / A.denominator, so D_k = Delta_{k+1} / (Delta_k A.denominator)
-    norms = [_quotient(minors[k + 1], minors[k]).re / A.denominator for k in range(n)]
-    return inv, norms
+    # row k of the eliminated [A | C] is Delta_k times that of L^-1 [A | C],
+    # and D_k = Delta_{k+1} / (Delta_k den)
+    return ([tuple(_quotient(F.rows[k].get(n + j, zero), mul(minors[k], F.q))
+                   for j in range(k + 1 if F.identity else 1)) for k in range(n)],
+            [_quotient(minors[k + 1], mul(minors[k], F.den)).re for k in range(n)])

@@ -6,8 +6,8 @@ basis is kept in monic form psi_k together with the squared weighted
 norms s_k, so that phi_k = psi_k / sqrt(s_k); every quantity the library
 derives from the basis (approximants, kernels, |phi_k(0)|^2 sums)
 involves phi twice and therefore stays rational in the exact backend.
-Both backends read the basis off one triangular factor of the Gram
-matrix (see :func:`basis`); the float one is then certified on G.
+Both backends read the basis off one factorization of the Gram matrix
+(see :func:`basis`); the float one is then certified on G.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, ztrtri
 
 from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
@@ -38,10 +37,6 @@ class OrthonormalBasis:
     norms_sq: tuple     # squared weighted norms s_k (Fraction or float)
 
     @property
-    def backend(self) -> str:
-        return self.f.backend
-
-    @property
     def phis(self) -> tuple:
         """Normalized basis phi_k = psi_k / sqrt(s_k) as float Series.
 
@@ -49,81 +44,59 @@ class OrthonormalBasis:
         phis are float; exact identities should be phrased through
         ``monic`` and ``norms_sq``.
         """
-        out = []
-        for psi, s in zip(self.monic, self.norms_sq):
-            out.append(scale(psi.to_float(), 1.0 / math.sqrt(float(s))))
-        return tuple(out)
+        return tuple(scale(psi.to_float(), a)
+                     for psi, a in zip(self.monic, self.leading_coefficients()))
 
     def leading_coefficients(self) -> tuple:
-        """A_k = 1/sqrt(s_k); real and positive by construction."""
-        return tuple(1.0 / math.sqrt(float(s)) for s in self.norms_sq)
+        """A_k = 1/sqrt(s_k); real and positive by construction.  For s_k =
+        m 4^j, 1/2 <= m < 4, it is 2^-j / sqrt(m), also beyond the float
+        range, and 1/sqrt(float(s_k)) to the bit where both are normal."""
+        out = []
+        for num, den in (s.as_integer_ratio() for s in self.norms_sq):
+            j = (num.bit_length() - den.bit_length()) // 2
+            m = num / (den << 2 * j) if j >= 0 else (num << -2 * j) / den
+            out.append(math.ldexp(1.0 / math.sqrt(m), -j))
+        return tuple(out)
 
     def phi_zero_sq(self, k):
         """|phi_k(0)|^2, exact in the exact backend."""
         return abs_sq(self.monic[k].at0()) / self.norms_sq[k]
 
-    def phi_zero_sq_partial_sums(self):
-        """Partial sums sum_{k<=m} |phi_k(0)|^2 for m = 0..n."""
-        out = []
-        acc = 0
-        for k in range(self.n + 1):
-            acc = acc + self.phi_zero_sq(k)
-            out.append(acc)
-        return out
 
-
-def _basis_float(f: Series, n: int, alpha) -> OrthonormalBasis:
-    G = gram_matrix(f, n, alpha)
-    L, info = zpotrf(G, lower=1)  # G = L L^H
-    if info > 0:
-        raise InstabilityError(f"nonpositive norm at degree {info - 1}; "
-                               "Gram matrix numerically singular")
-    # C = diag(l_kk) L^-1 is unit lower triangular and C G C^H = diag(l_kk^2)
-    d = L.diagonal().real
-    C = d[:, None] * ztrtri(L, lower=1)[0]
-    np.fill_diagonal(C, 1.0)
-    H = np.abs(_product(_product(C, G), C.conj().T))
-    H /= np.outer(d, d)
-    np.fill_diagonal(H, 0.0)
-    defect = float(H.max())
-    if not defect <= ORTHO_RESIDUAL_LIMIT:  # NaN fails too
-        raise InstabilityError(
-            f"orthogonality defect {defect:.3e} exceeds {ORTHO_RESIDUAL_LIMIT}; "
-            "use the exact backend or a lower degree")
-    return OrthonormalBasis(
-        f, float(alpha), n,
-        tuple(Series.from_complex(C[k, : k + 1]) for k in range(n + 1)),
-        tuple((d * d).tolist()))
-
-
-def _basis_exact(f: Series, n: int, alpha) -> OrthonormalBasis:
-    # <psi_k f, z^j f> = (L^-1 G)[k, j] vanishes for j < k, so the rows of
-    # L^-1 are the monic psi_k, and s_k = <psi_k f, z^k f> = D_k.
-    inv, norms = linsolve.inverse_ldl_exact(gram_numerators(f, n, alpha))
+def _basis_from(f: Series, n: int, alpha, G, F) -> OrthonormalBasis:
+    """The basis read off the factor F of G made with B = I."""
+    inv, norms = linsolve.forward(F)
+    if isinstance(G, np.ndarray):
+        # C = L^-1 has C G C^H = D; certify its off-diagonal part
+        H = np.abs(_product(_product(inv, G), inv.conj().T))
+        H /= np.sqrt(np.outer(norms, norms))
+        np.fill_diagonal(H, 0.0)
+        defect = float(H.max())
+        if not defect <= ORTHO_RESIDUAL_LIMIT:  # NaN fails too
+            raise InstabilityError(
+                f"orthogonality defect {defect:.3e} exceeds {ORTHO_RESIDUAL_LIMIT}; "
+                "use the exact backend or a lower degree")
     return OrthonormalBasis(f, float(alpha), n,
-                            tuple(Series(row, True) for row in inv), tuple(norms))
+                            tuple(f.like(row[: k + 1]) for k, row in enumerate(inv)),
+                            tuple(norms))
 
 
 def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     """Orthonormal polynomial basis of f * P_n under the weighted inner
-    product.  Float: for the Cholesky factor G = L L^H of the Gram matrix,
-    the rows of C = diag(l_kk) L^-1 are the monic psi_k and s_k = l_kk^2;
-    a nonpositive pivot, or an off-diagonal |C G C^H|_kj above
+    product.  In the factorization G = L D L^H of the Gram matrix
+    (``linsolve.factor`` with B = I; exact, on the band of G as integer
+    numerators), <psi_k f, z^j f> = (L^-1 G)[k, j] vanishes for j < k, so
+    the monic psi_k are the rows of L^-1, and s_k = D_k.  Float: a
+    nonpositive pivot, or an off-diagonal |L^-1 G L^-H|_kj above
     ORTHO_RESIDUAL_LIMIT sqrt(s_k s_j), raises InstabilityError.
-    Exact: the monic psi_k are the rows of L^-1 in the factorization
-    G = L D L^H of the Gram matrix, and D holds their squared norms, both
-    from one fraction-free elimination (``linsolve.inverse_ldl_exact``)
-    run on the band of G as integer numerators over one denominator
-    (``spaces.gram_numerators``); no entry outside the band is built.
 
     Monic construction makes the leading coefficients automatically real
     and positive, which is the uniqueness convention.
     """
     if f.is_zero:
         raise DegenerateError("cannot orthogonalize against the zero function")
-    if f.backend == "float":
-        return _basis_float(f, n, alpha)
-    return _basis_exact(f, n, alpha)
+    G = (gram_matrix if f.backend == "float" else gram_numerators)(f, n, alpha)
+    return _basis_from(f, n, alpha, G, linsolve.factor(G))
 
 
 def approximant_via_ops(f: Series, n: int, alpha) -> Series:

@@ -55,9 +55,11 @@ def _newton_polish(coeffs: np.ndarray, z: np.ndarray, iterations: int = 5) -> np
     for _ in range(iterations):
         dv = np.polyval(dp, z[idx])
         idx, dv = idx[dv != 0], dv[dv != 0]
-        step = z[idx] - pv[idx] / dv
-        step_pv = np.polyval(p, step)
-        v = _modulus(step_pv)
+        # a step far out overflows p(step); an inf or NaN |p| fails v < best
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = z[idx] - pv[idx] / dv
+            step_pv = np.polyval(p, step)
+            v = _modulus(step_pv)
         ok = v < best[idx]
         idx = idx[ok]
         z[idx], pv[idx], best[idx] = step[ok], step_pv[ok], v[ok]

@@ -17,7 +17,6 @@ from optapprox import (ExactComplex, FunctionSpec, Series, equal_quantities,
                        poly_add, poly_mul, poly_roots, realize, reflect,
                        scale, shift, szego_identity_residual, weighted_inner)
 from optapprox.cli import main
-from optapprox.linsolve import solve_hpd_float
 from optapprox.orthopoly import basis
 from optapprox.verify import BERGMAN_FIRST_ZERO, BINOMIAL_CUBE, EULER_FIRST_ZERO
 
@@ -157,7 +156,7 @@ def test_acceptance_5_levinson_vs_direct():
         rhs_full = np.zeros(21, dtype=np.complex128)
         rhs_full[0] = np.conj(f.at0())
         for n in range(21):
-            direct = solve_hpd_float(M[: n + 1, : n + 1], rhs_full[: n + 1])
+            direct = np.linalg.solve(M[: n + 1, : n + 1], rhs_full[: n + 1])
             worst = max(worst, float(np.max(np.abs(
                 np.asarray(state.history[n]) - direct))))
     assert worst <= 1e-9

@@ -231,49 +231,61 @@ def shifted_inner_poly(r, f, l, alpha):
 
 
 def test_conditioning_error_float():
-    from optapprox.linsolve import solve_hpd_float
+    from optapprox.linsolve import factor, solve
 
     M = np.diag([1.0, 1e-16]).astype(np.complex128)
     with pytest.raises(ConditioningError):
-        solve_hpd_float(M, np.array([1.0, 0.0], dtype=np.complex128))
+        solve(factor(M, 1.0))
 
 
 @pytest.mark.parametrize("cond, refused", [(0.99e14, False), (1.01e14, True)])
 def test_condition_limit_boundary(cond, refused):
     # on a diagonal matrix the 1-norm estimate and the 2-norm condition
     # number are both exactly cond
-    from optapprox.linsolve import solve_hpd_float
+    from optapprox.linsolve import factor, forward, solve
 
     M = np.diag([1.0, 0.5, 1.0 / cond]).astype(np.complex128)
-    b = np.array([1.0, 1.0, 1.0], dtype=np.complex128)
+    F = factor(M, 2.0)
     if refused:
         with pytest.raises(ConditioningError, match="1.010e\\+14"):
-            solve_hpd_float(M, b)
+            solve(F)
+        with pytest.raises(ConditioningError, match="1.010e\\+14"):
+            forward(F, [3])
         # the leading blocks of the one factor are still accepted
-        assert solve_hpd_float(M, b, [2, 1]) == pytest.approx([1.0, 2.0, 1.0], rel=1e-15)
+        assert solve(F, [2, 1]) == pytest.approx([2.0, 0.0, 2.0], rel=1e-15)
     else:
-        assert solve_hpd_float(M, b) == pytest.approx([1.0, 2.0, cond], rel=1e-15)
+        assert solve(F) == pytest.approx([2.0, 0.0, 0.0], rel=1e-15)
+    assert forward(F, [1, 2])[1] == pytest.approx([1.0, 0.5, 1.0 / cond], rel=1e-15)
 
 
 @pytest.mark.parametrize("last", [100.0, -1.0])
 def test_leading_system_is_judged_on_its_own_block(last):
-    # the leading 2-block has condition 1e13 and is accepted; the whole
-    # matrix is refused, as ill-conditioned (1e15) or as not definite
-    from optapprox.linsolve import solve_hpd_float
+    # the leading 2-block has condition 4 2^43 = 3.5e13 and is accepted; the
+    # whole matrix is refused, as ill-conditioned (1.8e15) or as not definite
+    from optapprox.linsolve import factor, forward, solve
 
-    M = np.diag([1.0, 1e-13, last]).astype(np.complex128)
-    b = np.ones(3, dtype=np.complex128)
-    assert solve_hpd_float(M, b, [2]) == pytest.approx([1.0, 1e13], rel=1e-12)
+    eps = 2.0 ** -43
+    M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, last]],
+                 dtype=np.complex128)
+    F = factor(M, 1.0)
+    assert solve(F, [2]) == pytest.approx([1.0 + 1 / eps, -1 / eps], rel=1e-12)
     with pytest.raises(ConditioningError):
-        solve_hpd_float(M, b)
+        solve(F)
+    with pytest.raises(ConditioningError):
+        forward(F, [1, 2, 3])
 
 
 def test_float_leading_systems_match_separate_solves(rng):
-    from optapprox.linsolve import solve_hpd_float
+    from optapprox.linsolve import factor, solve
 
     A = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     M = A @ A.conj().T + np.eye(7)
-    b = rng.normal(size=7) + 1j * rng.normal(size=7)
+    b0 = complex(rng.normal(), rng.normal())
     sizes = [1, 4, 7, 3]
+    b = np.zeros(7, dtype=np.complex128)
+    b[0] = b0
     direct = np.concatenate([np.linalg.solve(M[:m, :m], b[:m]) for m in sizes])
-    assert solve_hpd_float(M, b, sizes) == pytest.approx(direct, rel=1e-12)
+    assert solve(factor(M, b0), sizes) == pytest.approx(direct, rel=1e-12)
+    e0 = np.eye(7, dtype=np.complex128)[0]
+    direct = np.concatenate([np.linalg.solve(M[:m, :m], e0[:m]) for m in sizes])
+    assert solve(factor(M), sizes) == pytest.approx(direct, rel=1e-12)

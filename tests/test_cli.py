@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,36 @@ def test_zeros_sweep_factors_once(capsys, monkeypatch, backend, factor):
     assert {int(r["n"]) for r in csv.DictReader(io.StringIO(out))} == set(range(3, 13))
 
 
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_float_cyclicity_refuses_where_the_sweep_does(capsys, N):
+    # both read the leading blocks of one factor at n = 40 and refuse any
+    # whose condition estimate exceeds 1e14: (1 - z)^10 is refused
+    from optapprox import optimal_sweep
+
+    f = '{"family":"one_minus_z_pow","params":{"N":%d}}' % N
+    common = ("--backend", "float", "--alpha", "0", "--f", f)
+    cyc = run(capsys, "cyclicity", "--max-n", "40", "--format", "json", *common)
+    sweep = run(capsys, "zeros", "--n-range", "0..40", *common)
+    assert cyc[0] == sweep[0] == (3 if N == 10 else 0)
+    if cyc[0]:
+        assert json.loads(cyc[2])["error"] == json.loads(sweep[2])["error"] == \
+            "ConditioningError"
+        return
+    code, out, _ = run(capsys, "cyclicity", "--max-n", "40", "--format", "json",
+                       "--backend", "exact", "--alpha", "0", "--f", f)
+    assert code == 0
+    c = [(-1) ** k * math.comb(N, k) for k in range(N + 1)]
+    p0 = [r.p_at_zero for r in optimal_sweep(Series.from_complex(c), 40, 0)]
+    # against the exact backend to the accuracy of the float solves: the
+    # float sweep's p_n(0) is off by as much (4e-8 for N = 6 and 5e-5 for
+    # N = 8, whose Gram matrix has condition estimate 5e13 at n = 40)
+    tol = {6: 1e-6, 8: 1e-4}[N]
+    for fl, ex, p in zip(json.loads(cyc[1])["rows"], json.loads(out)["rows"], p0):
+        exact = float(Fraction(ex["partial_sum"]))
+        assert abs(fl["partial_sum"] - exact) <= tol * exact
+        assert fl["p0"] == pytest.approx(p.real, rel=1e-9)
+
+
 def test_ill_conditioned_float_sweep_exits_3(capsys):
     code, out, err = run(capsys, "zeros", "--backend", "float", "--alpha", "0",
                          "--n-range", "0..40",
@@ -386,12 +417,17 @@ def test_malformed_command_line_is_json_validation_error(capsys, argv):
     assert payload["module"] == "cli"
 
 
-def test_float_view_beyond_the_float_range_exits_3(capsys):
-    # ||f||^2 = 1 + 10^400 is exact, but the phis need 1/sqrt of its float
-    code, out, err = run(capsys, "orthopoly", "--n", "0",
-                         "--f", '{"coefficients":[1,%d]}' % 10 ** 200)
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "OverflowError"
+def test_float_view_beyond_the_float_range(capsys):
+    # ||f||^2 = 1 + 10^400 is exact and beyond the float range, but
+    # A_0 = 1/sqrt(||f||^2) = 1e-200 is a float
+    code, out, _ = run(capsys, "orthopoly", "--n", "0",
+                       "--f", '{"coefficients":[1,%d]}' % 10 ** 200)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["norms_sq"] == [str(1 + 10 ** 400)]
+    (a,) = payload["leading_coefficients"]
+    assert abs(a - 1e-200) <= math.ulp(1e-200)
+    assert payload["phis"] == [[a]]
 
 
 def test_root_beyond_the_float_range_exits_3(capsys):

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from optapprox import (ExactComplex, FunctionSpec, Series, cyclicity_report,
+from optapprox import (ExactComplex, FunctionSpec, Series, basis, cyclicity_report,
                        extremal_value, inner, kernel_at_zero, kernel_eval,
                        mccarthy_reference, norm_sq, optimal, poly_eval,
                        poly_mul, realize, scale)
@@ -202,3 +204,22 @@ class TestCyclicityReport:
                            zip(rep.partial_sums, rep.partial_sums[1:]))
                 assert all(b <= a + 1e-14 for a, b in
                            zip(rep.distances, rep.distances[1:]))
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+gaussian_rationals = st.builds(ExactComplex, rationals, rationals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(gaussian_rationals, min_size=1, max_size=4), st.integers(-2, 2),
+       st.integers(0, 6))
+def test_exact_cyclicity_sums_are_the_basis_sums(coeffs, alpha, N):
+    # read off the forward pass with B = e_0 against the basis from B = I
+    assume(not coeffs[0].is_zero)
+    f = Series(tuple(coeffs), True)
+    rep = cyclicity_report(f, alpha, N)
+    bas = basis(f, N, alpha)
+    acc = Fraction(0)
+    for n in range(N + 1):
+        acc += bas.phi_zero_sq(n)
+        assert type(rep.partial_sums[n]) is Fraction and rep.partial_sums[n] == acc

@@ -1,5 +1,7 @@
-"""Exact fraction-free elimination: solves, determinants and the monic
-orthogonal basis, against oracles that share no code with it."""
+"""The one factorization of linsolve: solves, determinants and the monic
+orthogonal basis of exact fraction-free elimination, against oracles that
+share no code with it, the float reads against numpy, and one
+factorization per call of every public entry that needs one."""
 
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from optapprox import ExactComplex, Series, basis, gram, weighted_inner
 from optapprox.errors import DegenerateError
-from optapprox.linsolve import det_exact, inverse_ldl_exact, solve_exact
+from optapprox.linsolve import det_exact, factor, forward, solve
 from optapprox.spaces import gram_numerators
 
 from conftest import exact_gauss_solve
@@ -52,28 +54,44 @@ def leading_minors_nonzero(M):
 alphas = st.integers(-2, 2)
 
 
+def inverse_from_ldl(G):
+    """G^-1 = L^-H D^-1 L^-1 from the forward read with B = I."""
+    inv, norms = forward(factor(G))
+    n = len(G)
+    L = [list(row) + [ExactComplex(0)] * (n - len(row)) for row in inv]
+    return [[sum((L[k][i].conjugate() * L[k][j] / norms[k] for k in range(n)),
+                 ExactComplex(0)) for j in range(n)] for i in range(n)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(functions(), st.integers(0, 4), alphas, st.lists(gaussian_rationals, min_size=5, max_size=5))
-def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b):
+@given(functions(), st.integers(0, 4), alphas, gaussian_rationals)
+def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b0):
     system = gram(f, n, alpha)
     e0 = (f.at0(),) + (ExactComplex(0),) * n
-    assert list(solve_exact(system.matrix, e0)) == exact_gauss_solve(system.matrix, e0)
-    rhs = tuple(b[: n + 1])
-    assert list(solve_exact(system.matrix, rhs)) == exact_gauss_solve(system.matrix, rhs)
+    assert list(solve(factor(system.matrix, f.at0()))) == exact_gauss_solve(system.matrix, e0)
+    rhs = (b0,) + (ExactComplex(0),) * n
+    assert list(solve(factor(system.matrix, b0))) == exact_gauss_solve(system.matrix, rhs)
     # every leading system from the one elimination, in the order asked for
     sizes = list(range(n + 1, 0, -1))
     leading = [x for m in sizes
                for x in exact_gauss_solve([row[:m] for row in system.matrix[:m]], rhs[:m])]
-    assert list(solve_exact(system.matrix, rhs, sizes)) == leading
+    assert list(solve(factor(system.matrix, b0), sizes)) == leading
+    # B = I: its first column, and every column of G^-1 from L^-1 and D
+    G = system.matrix
+    unit = [[ExactComplex(int(i == j)) for i in range(n + 1)] for j in range(n + 1)]
+    assert list(solve(factor(G))) == exact_gauss_solve(G, unit[0])
+    inverse = inverse_from_ldl(G)
+    for j in range(n + 1):
+        assert [row[j] for row in inverse] == exact_gauss_solve(G, unit[j])
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_matrices(), st.lists(gaussian_rationals, min_size=4, max_size=4))
-def test_solve_matches_gauss_oracle_on_general_matrices(M, b):
+@given(square_matrices(), gaussian_rationals)
+def test_solve_matches_gauss_oracle_on_general_matrices(M, b0):
     # non-Hermitian complex matrices have Gaussian-integer pivots
     assume(leading_minors_nonzero(M))
-    rhs = tuple(b[: len(M)])
-    assert list(solve_exact(M, rhs)) == exact_gauss_solve(M, rhs)
+    rhs = (b0,) + (ExactComplex(0),) * (len(M) - 1)
+    assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,11 +130,10 @@ SINGULAR = ((ExactComplex(1), ExactComplex(1)), (ExactComplex(1), ExactComplex(1
 @pytest.mark.parametrize("M", [ZERO_FIRST_PIVOT, ZERO_FIRST_PIVOT_COMPLEX,
                                ZERO_MIDDLE_PIVOT, SINGULAR])
 def test_zero_pivot_raises(M):
-    rhs = (ExactComplex(1),) + (ExactComplex(0),) * (len(M) - 1)
     with pytest.raises(DegenerateError):
-        solve_exact(M, rhs)
+        solve(factor(M, ExactComplex(1)))
     with pytest.raises(DegenerateError):
-        inverse_ldl_exact(M)
+        forward(factor(M))
 
 
 @pytest.mark.parametrize("M", [ZERO_FIRST_PIVOT, ZERO_FIRST_PIVOT_COMPLEX, ZERO_MIDDLE_PIVOT])
@@ -165,8 +182,8 @@ def test_band_gram_solve_with_sizes(case, alpha):
     sizes = list(range(1, n + 2))
     leading = [x for m in sizes
                for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
-    assert list(solve_exact(G, rhs, sizes)) == leading
-    assert list(solve_exact(gram_numerators(f, n, alpha), rhs, sizes)) == leading
+    assert list(solve(factor(G, f.at0()), sizes)) == leading
+    assert list(solve(factor(gram_numerators(f, n, alpha), f.at0()), sizes)) == leading
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,8 +192,8 @@ def test_band_gram_inverse_ldl(case, alpha):
     f, n = case
     G = gram(f, n, alpha).matrix
     oracle = monic_orthogonal_oracle(G)
-    assert inverse_ldl_exact(G) == oracle
-    assert inverse_ldl_exact(gram_numerators(f, n, alpha)) == oracle
+    assert forward(factor(G)) == oracle
+    assert forward(factor(gram_numerators(f, n, alpha))) == oracle
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,15 +217,15 @@ def sparse_matrices(draw, max_size=6):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices(), st.lists(gaussian_rationals, min_size=6, max_size=6))
-def test_sparse_general_matrices(M, b):
+@given(sparse_matrices(), gaussian_rationals)
+def test_sparse_general_matrices(M, b0):
     # solved exactly when every leading minor is nonzero, refused otherwise
-    rhs = tuple(b[: len(M)])
+    rhs = (b0,) + (ExactComplex(0),) * (len(M) - 1)
     if leading_minors_nonzero(M):
-        assert list(solve_exact(M, rhs)) == exact_gauss_solve(M, rhs)
+        assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
     else:
         with pytest.raises(DegenerateError):
-            solve_exact(M, rhs)
+            solve(factor(M, b0))
     if len(M) <= 5:
         if len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]):
             assert det_exact(M) == cofactor_det(M)
@@ -237,11 +254,62 @@ STALE_PIVOT_ROWS = [
 @pytest.mark.parametrize("M", STALE_PIVOT_ROWS)
 def test_stale_pivot_row(M):
     n = len(M)
-    rhs = tuple(ExactComplex(k + 1) for k in range(n))
-    assert list(solve_exact(M, rhs)) == exact_gauss_solve(M, rhs)
+    b0 = ExactComplex(2, 1)
+    rhs = (b0,) + (ExactComplex(0),) * (n - 1)
+    assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
     sizes = list(range(1, n + 1))
-    assert list(solve_exact(M, rhs, sizes)) == [
+    assert list(solve(factor(M, b0), sizes)) == [
         x for m in sizes for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
     assert det_exact(M) == cofactor_det(M)
     if all(M[i][j] == M[j][i].conjugate() for i in range(n) for j in range(n)):
-        assert inverse_ldl_exact(M) == monic_orthogonal_oracle(M)
+        assert forward(factor(M)) == monic_orthogonal_oracle(M)
+        inverse_rows = monic_orthogonal_oracle(M)[0]
+        assert forward(factor(M, b0))[0] == [(b0 * row[0],) for row in inverse_rows]
+
+
+# -- the float reads, and one factorization per call ----------------------
+
+def test_float_forward_matches_cholesky(rng):
+    import numpy as np
+
+    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    M = A @ A.conj().T + np.eye(6)
+    C = np.linalg.cholesky(M)           # M = C C^H
+    d = C.diagonal().real
+    Linv = d[:, None] * np.linalg.inv(C)
+    inv, norms = forward(factor(M))
+    assert np.allclose(inv, Linv, rtol=1e-12, atol=1e-12)
+    assert norms == pytest.approx(d * d, rel=1e-12)
+    col, norms_col = forward(factor(M, 2 - 1j), range(1, 7))
+    assert col.shape == (6, 1) and norms_col == norms
+    assert np.allclose(col[:, 0], (2 - 1j) * Linv[:, 0], rtol=1e-12, atol=1e-12)
+
+
+def _public_calls():
+    import optapprox as oa
+
+    return {
+        "optimal": lambda f: oa.optimal(f, 6, 1),
+        "optimal_sweep": lambda f: oa.optimal_sweep(f, 6, 1),
+        "basis": lambda f: oa.basis(f, 6, 1),
+        "kernel_eval": lambda f: oa.kernel_eval(f, 6, 1, Fraction(1, 2), Fraction(1, 4)),
+        "extremal_value": lambda f: oa.extremal_value(f, 6, 1),
+        "cyclicity_report": lambda f: oa.cyclicity_report(f, 1, 6),
+        "approximant_via_ops": lambda f: oa.approximant_via_ops(f, 6, 1),
+        "szego_identity_residual": lambda f: oa.szego_identity_residual(f, 6),
+        "zero_bound_check": lambda f: oa.zero_bound_check(f, 6, 1),
+        "equal_quantities": lambda f: oa.equal_quantities(f, 6, 1),
+    }
+
+
+@pytest.mark.parametrize("backend, factorizer", [("exact", "_eliminate"), ("float", "zpotrf")])
+@pytest.mark.parametrize("name", list(_public_calls()))
+def test_each_call_factors_once(monkeypatch, name, backend, factorizer):
+    from optapprox import linsolve
+
+    calls = []
+    fn = getattr(linsolve, factorizer)
+    monkeypatch.setattr(linsolve, factorizer, lambda *a: calls.append(a) or fn(*a))
+    f = Series.exact([2, 3, 1])
+    _public_calls()[name](f if backend == "exact" else f.to_float())
+    assert len(calls) == 1

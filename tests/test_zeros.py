@@ -12,7 +12,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        first_zero_with_tail, fixed_point_residual, optimal,
                        poly_mul, poly_roots, realize, zero_bound_check)
 from optapprox.errors import DegenerateError
-from optapprox.zeros import NO_FINITE_ZERO, _cluster
+from optapprox.zeros import NO_FINITE_ZERO, _cluster, _newton_polish
 
 from conftest import random_poly
 
@@ -118,6 +118,13 @@ class TestVectorizedNewton:
     def test_special_cases(self, coeffs):
         got = poly_roots(Series.from_complex(coeffs)).roots
         assert got == _roots_scalar(coeffs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_keeps_the_best_iterate(self):
+        # z^2 - 1 at 1e-300: the Newton step lands near 5e299, where p
+        # overflows; the root keeps its start, silently
+        z = np.array([1e-300 + 0j])
+        assert _newton_polish(np.array([-1, 0, 1], dtype=np.complex128), z) == z
 
     def test_random_degrees(self, rng):
         for _ in range(300):
