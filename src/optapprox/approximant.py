@@ -28,6 +28,17 @@ class ApproximantResult:
     tail_error_bound: float
 
 
+def _gram_system(f: Series, n: int, alpha) -> tuple:
+    """The Gram matrix to factor and its tail estimate: for an exact
+    polynomial f, its band of integer numerators, which linsolve takes as
+    it is."""
+    if f.backend == "exact" and f.is_exact_polynomial:
+        _f0_nonzero(f)
+        return gram_numerators(f, n, alpha), 0.0
+    system = gram(f, n, alpha)
+    return system.matrix, system.tail_error_bound
+
+
 def _approximants(f: Series, degrees, alpha) -> list:
     """Approximants of each degree in ``degrees`` from one factorization
     of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
@@ -35,13 +46,7 @@ def _approximants(f: Series, degrees, alpha) -> list:
     and the degree-n system is the leading (n+1)-block of G.  For an exact
     polynomial f, G is its band of integer numerators (and np.conj
     conjugates the exact y one by one)."""
-    top = max(degrees)
-    if f.backend == "exact" and f.is_exact_polynomial:
-        _f0_nonzero(f)
-        G, tail = gram_numerators(f, top, alpha), 0.0
-    else:
-        system = gram(f, top, alpha)
-        G, tail = system.matrix, system.tail_error_bound
+    G, tail = _gram_system(f, max(degrees), alpha)
     f0 = f.at0()
     y = np.conj(linsolve.solve(linsolve.factor(G, f0), [n + 1 for n in degrees]))
     out, start = [], 0
@@ -110,7 +115,7 @@ def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
     from .kernels import kernel_eval_from_basis
     from .orthopoly import _basis_from
 
-    G = gram(f, n, alpha).matrix
+    G = _gram_system(f, n, alpha)[0]
     F = linsolve.factor(G)
     f0 = f.at0()
     f0_sq = abs_sq(f0)

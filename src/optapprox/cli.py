@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,6 +46,50 @@ def serialize_scalar(x):
     if c.imag == 0.0:
         return c.real
     return {"re": c.real, "im": c.imag}
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: float.__repr__, or NaN and Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for string keys, without
+    json's pure-Python indenting encoder; ``nl`` is a newline and the
+    indent of the line obj starts on."""
+    if type(obj) is float:
+        return _float_text(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if tuple(obj) == ("re", "im") and type(obj["re"]) is type(obj["im"]) is float:
+            return (f'{{{inner}"re": {_float_text(obj["re"])},'
+                    f'{inner}"im": {_float_text(obj["im"])}{nl}}}')
+        items = [f"{_quote(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _raising_module(exc: Exception) -> str:
@@ -122,9 +167,8 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _zeros_of(p: Series):
-    return [{"re": z.real, "im": z.imag, "modulus": abs(z)}
-            for z in zeros.poly_roots(p).roots]
+def _zero_rows(zero_set):
+    return [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in zero_set.roots]
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -139,10 +183,10 @@ def _cmd_approximant(args) -> int:
         "coefficients": [serialize_scalar(c) for c in res.p.coeffs],
         "p0": serialize_scalar(res.p_at_zero),
         "distance_sq": serialize_scalar(res.distance_sq),
-        "zeros": _zeros_of(res.p),
+        "zeros": _zero_rows(zeros.poly_roots(res.p)),
         "tail_error_bound": res.tail_error_bound,
     }
-    _write_output(args, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -150,18 +194,17 @@ def _cmd_zeros(args) -> int:
     f = _load_function(args)
     ns = args.n_range
     sweep = approximant.optimal_sweep(f, ns[-1], args.alpha)
-    rows = [{"n": n, "root_index": idx, **z}
-            for n in ns for idx, z in enumerate(_zeros_of(sweep[n].p))]
+    zero_sets = zeros.poly_roots_batch([sweep[n].p for n in ns])
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "root_index", "re", "im", "modulus"])
-        for r in rows:
-            w.writerow([r["n"], r["root_index"], repr(r["re"]), repr(r["im"]),
-                        repr(r["modulus"])])
-        _write_output(args, buf.getvalue())
+        # the lines csv.writer writes: no field needs quoting
+        lines = ["n,root_index,re,im,modulus\r\n"]
+        lines += [f"{n},{idx},{z.real!r},{z.imag!r},{abs(z)!r}\r\n"
+                  for n, zs in zip(ns, zero_sets) for idx, z in enumerate(zs.roots)]
+        _write_output(args, "".join(lines))
     else:
-        _write_output(args, json.dumps(rows, indent=2) + "\n")
+        rows = [{"n": n, "root_index": idx, **z}
+                for n, zs in zip(ns, zero_sets) for idx, z in enumerate(_zero_rows(zs))]
+        _write_output(args, _dumps(rows) + "\n")
     return EXIT_OK
 
 
@@ -177,7 +220,7 @@ def _cmd_orthopoly(args) -> int:
         "leading_coefficients": list(bas.leading_coefficients()),
         "phis": [[serialize_scalar(c) for c in phi.coeffs] for phi in bas.phis],
     }
-    _write_output(args, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -197,7 +240,7 @@ def _cmd_kernel(args) -> int:
         "value": serialize_scalar(ev.value),
         "extremal_value_at_zero": math.sqrt(max(k00.real, 0.0)),
     }
-    _write_output(args, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -226,7 +269,7 @@ def _cmd_cyclicity(args) -> int:
             "rows": [{"n": r[0], "p0": r[1], "partial_sum": r[2],
                       "distance_sq": r[3]} for r in rows],
         }
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -243,7 +286,7 @@ def _cmd_levinson(args) -> int:
         "outer_partial_products": [serialize_scalar(p) for p in crit.partial_products],
         "outer_target": serialize_scalar(crit.target),
     }
-    _write_output(args, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -256,7 +299,7 @@ def _cmd_first_zero(args) -> int:
         payload = {"alpha": args.alpha, "finite": True,
                    "value": serialize_scalar(value),
                    "tail_error_bound": tail}
-    _write_output(args, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -296,7 +339,10 @@ class _Parser(argparse.ArgumentParser):
         raise SpecValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it as it was."""
     parser = _Parser(
         prog="optapprox",
         description="Optimal polynomial approximants to 1/f in Dirichlet-type spaces")

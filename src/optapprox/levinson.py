@@ -15,7 +15,8 @@ with q = p f(0)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BreakdownError, DegenerateError
 from .exact import abs_sq
@@ -35,7 +36,14 @@ class LevinsonState:
     coeffs: Series          # optimal approximant coefficients at degree n (for f)
     gammas: tuple           # Gamma_0..Gamma_{n-1}
     autocorr: tuple         # <z^k f, f>_0 for k = 0..n
-    history: tuple          # coefficient tuples (for f) at every degree 0..n
+    g_history: tuple = field(repr=False)   # coefficient tuples for g = f/f(0)
+    inv_f0: object = field(repr=False)     # 1/f(0)
+
+    @cached_property
+    def history(self) -> tuple:
+        """Coefficient tuples (for f) at every degree 0..n, rescaled from
+        g's on first access: p_n[f] = q_n[g] / f(0)."""
+        return tuple(tuple(ck * self.inv_f0 for ck in row) for row in self.g_history)
 
 
 def levinson_solve(f: Series, n: int) -> LevinsonState:
@@ -68,10 +76,11 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
         gammas.append(gamma)
         history.append(tuple(c))
 
-    # rescale from g back to f: p_n[f] = q_n[g] / f(0)
-    history_f = tuple(tuple(ck * inv_f0 for ck in row) for row in history)
-    return LevinsonState(n=n, coeffs=f.like(history_f[-1]), gammas=tuple(gammas),
-                         autocorr=autocorr, history=history_f)
+    # rescale from g back to f, p_n[f] = q_n[g] / f(0), at degree n only;
+    # the other degrees when ``history`` is read
+    return LevinsonState(n=n, coeffs=f.like([ck * inv_f0 for ck in c]),
+                         gammas=tuple(gammas), autocorr=autocorr,
+                         g_history=tuple(history), inv_f0=inv_f0)
 
 
 def reflection_coefficients(state: LevinsonState):

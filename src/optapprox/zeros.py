@@ -2,8 +2,9 @@
 checks.
 
 Roots come from companion-matrix eigenvalues followed by a few guarded
-Newton corrections on the original polynomial; exact-backend polynomials
-are converted to floats first (roots are generically irrational).
+Newton corrections on the original polynomial, run once over the roots of
+all the polynomials of a sweep; exact-backend polynomials are converted
+to floats first (roots are generically irrational).
 """
 
 from __future__ import annotations
@@ -43,27 +44,56 @@ def _modulus(v: np.ndarray) -> np.ndarray:
     return np.hypot(v.real, v.imag)
 
 
-def _newton_polish(coeffs: np.ndarray, z: np.ndarray, iterations: int = 5) -> np.ndarray:
-    # coeffs in increasing order; each root is polished while |p| improves
-    # and stops, keeping its best iterate, when p' vanishes or |p| does not
-    p = coeffs[::-1]
-    dp = np.polyder(p)
+def _horner(C: np.ndarray, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z[i]) for p the row rows[i] of C, coefficients in decreasing order
+    and zero-padded at the top.  These are np.polyval's steps, y = y z + c
+    from y = +0: a padding step leaves y = +0 for a finite z, so the
+    padding changes no bit."""
+    y = np.zeros_like(z)
+    for c in C.T:
+        y = y * z + c[rows]
+    return y
+
+
+def _newton_polish(C: np.ndarray, rows: np.ndarray, z: np.ndarray,
+                   iterations: int = 5) -> np.ndarray:
+    # z[i] is a root of the row rows[i] of C (see _horner); each root is
+    # polished while |p| improves and stops, keeping its best iterate, when
+    # p' vanishes or |p| does not
+    dC = C[:, :-1] * np.arange(C.shape[1] - 1, 0, -1)   # as np.polyder
     z = z.astype(np.complex128)
-    pv = np.polyval(p, z)
+    pv = _horner(C, rows, z)
     best = _modulus(pv)
     idx = np.arange(len(z))
     for _ in range(iterations):
-        dv = np.polyval(dp, z[idx])
+        dv = _horner(dC, rows[idx], z[idx])
         idx, dv = idx[dv != 0], dv[dv != 0]
         # a step far out overflows p(step); an inf or NaN |p| fails v < best
         with np.errstate(over="ignore", invalid="ignore"):
             step = z[idx] - pv[idx] / dv
-            step_pv = np.polyval(p, step)
+            step_pv = _horner(C, rows[idx], step)
             v = _modulus(step_pv)
         ok = v < best[idx]
         idx = idx[ok]
         z[idx], pv[idx], best[idx] = step[ok], step_pv[ok], v[ok]
     return z
+
+
+def _growth(z: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """max(1, |z|)^d root by root, with the bits of base ** d for one d:
+    numpy squares for d = 2 and calls pow() for any other d."""
+    base = np.maximum(1.0, np.abs(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(degrees == 2, base * base, base ** degrees)
+
+
+def _has_close_pair(z: np.ndarray) -> bool:
+    """Whether two of the roots z are within CLUSTER_TOL of each other;
+    when none are, _cluster returns each root as its own centroid."""
+    diff = z[:, None] - z
+    dist = _modulus(diff)
+    np.fill_diagonal(dist, np.inf)
+    return bool((dist <= CLUSTER_TOL).any())
 
 
 def _cluster(roots: list) -> list:
@@ -109,6 +139,89 @@ def _float_view(p: Series, d: int) -> np.ndarray:
     return np.array([complex(part(c.re), part(c.im)) for c in coeffs])
 
 
+def _companion_roots(p: Series):
+    """p's degree d, its float view and the companion roots of the view
+    (none for d = 0), with the refusals of :func:`poly_roots`."""
+    d = p.degree
+    if d < 0:
+        raise DegenerateError("the zero polynomial has no well-defined root set")
+    if d == 0:
+        return 0, None, None
+    coeffs = _float_view(p, d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = coeffs[:d] / coeffs[d]
+    if not np.isfinite(monic).all():
+        raise OverflowError("the coefficients of p span more than the float range, "
+                            "so its roots cannot be computed in floats")
+    return d, coeffs, np.roots(coeffs[::-1]).astype(np.complex128)
+
+
+def _polished(heads: list) -> list:
+    """The ZeroSets of the (d, view, companion roots) of :func:`_companion_roots`,
+    all d >= 1, from one Newton pass over all their roots."""
+    if not heads:
+        return []
+    degrees = np.array([d for d, _, _ in heads])
+    C = np.zeros((len(heads), degrees.max() + 1), dtype=np.complex128)
+    for row, (d, coeffs, _) in zip(C, heads):
+        row[-d - 1:] = coeffs[::-1]
+    counts = [len(z) for _, _, z in heads]
+    starts = np.cumsum([0] + counts)
+    rows = np.repeat(np.arange(len(heads)), counts)
+    z = np.concatenate([z for _, _, z in heads])
+    # a far root overflows p(zeta) and |zeta|^d: Newton keeps it as it
+    # is, and its residual is taken as |zeta^-d p(zeta)|, a polynomial
+    # in 1/zeta
+    far = np.isinf(_growth(z, degrees[rows]))
+    z[~far] = _newton_polish(C, rows[~far], z[~far])
+    if far.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            z[far] = _newton_polish(C, rows[far], z[far])
+    for a, b in zip(starts, starts[1:]):
+        if _has_close_pair(z[a:b]):
+            z[a:b] = _cluster(z[a:b].tolist())
+    # a root alone is its own centroid, complex(0 + zeta), which turns a
+    # -0.0 part into +0.0; adding +0 leaves every other centroid as it is
+    z = z + 0
+    growth = _growth(z, degrees[rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.abs(_horner(C, rows, z)) / growth
+    far = np.isinf(growth)
+    for r in np.unique(rows[far]):
+        sel = far & (rows == r)
+        residuals[sel] = np.abs(np.polyval(heads[r][1], 1 / z[sel]))
+    scale = np.abs(C).max(axis=1)
+    worst = np.maximum.reduceat(residuals, starts[:-1])
+    failing = np.flatnonzero(worst > 1e-6 * scale)
+    if failing.size:
+        r = failing[0]
+        raise DegenerateError(f"root residual {float(worst[r]):.3e} too large "
+                              f"for scale {float(scale[r]):.3e}")
+    return [ZeroSet(tuple(z[a:b].tolist()), d, tuple(residuals[a:b].tolist()))
+            for d, a, b in zip(degrees.tolist(), starts, starts[1:])]
+
+
+def poly_roots_batch(ps) -> list:
+    """The :func:`poly_roots` of each p in ps, in order.  Each p has its
+    own companion eigenvalues; the Newton polish and the residuals then
+    run once over the roots of all of them, each p's coefficients one
+    zero-padded row (see _horner), so every root, residual and error is
+    the one poly_roots(p) gives.  The first p in ps that fails raises its
+    error."""
+    heads, failure = [], None
+    for p in ps:
+        try:
+            heads.append(_companion_roots(p))
+        except (DegenerateError, OverflowError) as exc:
+            failure = exc
+            break
+    polished = iter(_polished([h for h in heads if h[0]]))
+    out = [next(polished) if d else ZeroSet((), 0, ()) for d, _, _ in heads]
+    if failure is not None:
+        raise failure
+    return out
+
+
 def poly_roots(p: Series) -> ZeroSet:
     """All complex roots of p (with multiplicity), via the companion
     matrix of the monic normalization plus Newton refinement.  A constant
@@ -119,47 +232,16 @@ def poly_roots(p: Series) -> ZeroSet:
     keeps them.  When the monic normalization of the view overflows, they
     cannot be computed in floats: OverflowError.  Newton runs on all
     roots at once; each root stops after 5 steps, or when p' vanishes or
-    |p| stops decreasing, and keeps its best iterate.
+    |p| stops decreasing, and keeps its best iterate.  Roots within
+    CLUSTER_TOL of each other are reported as their centroid.
 
     Each reported residual is |p(zeta)| / max(1, |zeta|)^deg, with p the
     float view: dividing by the growth of the largest monomial makes the
     tolerance meaningful for roots outside the unit disk, where |p(zeta)|
-    itself carries rounding error proportional to |zeta|^deg.
+    itself carries rounding error proportional to |zeta|^deg.  A residual
+    above 1e-6 times the largest coefficient raises DegenerateError.
     """
-    d = p.degree
-    if d < 0:
-        raise DegenerateError("the zero polynomial has no well-defined root set")
-    if d == 0:
-        return ZeroSet((), 0, ())
-    coeffs = _float_view(p, d)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monic = coeffs[:d] / coeffs[d]
-    if not np.isfinite(monic).all():
-        raise OverflowError("the coefficients of p span more than the float range, "
-                            "so its roots cannot be computed in floats")
-    z = np.roots(coeffs[::-1]).astype(np.complex128)
-    # a far root overflows p(zeta) and |zeta|^deg: Newton keeps it as it
-    # is, and its residual is taken as |zeta^-deg p(zeta)|, a polynomial
-    # in 1/zeta
-    with np.errstate(over="ignore"):
-        far = np.isinf(np.maximum(1.0, np.abs(z)) ** d)
-    z[~far] = _newton_polish(coeffs, z[~far])
-    if far.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            z[far] = _newton_polish(coeffs, z[far])
-    roots = tuple(_cluster(z.tolist()))
-    z = np.array(roots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.maximum(1.0, np.abs(z)) ** d
-        residuals = np.abs(np.polyval(coeffs[::-1], z)) / growth
-    far = np.isinf(growth)
-    if far.any():
-        residuals[far] = np.abs(np.polyval(coeffs, 1 / z[far]))
-    scale = float(np.max(np.abs(coeffs)))
-    worst = float(residuals.max())
-    if worst > 1e-6 * scale:
-        raise DegenerateError(f"root residual {worst:.3e} too large for scale {scale:.3e}")
-    return ZeroSet(roots, d, tuple(residuals.tolist()))
+    return poly_roots_batch([p])[0]
 
 
 def first_zero(f: Series, alpha):

@@ -7,8 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optapprox.cli import main, serialize_scalar
+from optapprox.cli import _dumps, build_parser, main, serialize_scalar
 from optapprox.exact import ExactComplex
 from optapprox.series import Series
 
@@ -95,6 +97,20 @@ class TestZeros:
         payload = json.loads(out)
         assert len(payload) == 3
         assert payload[0]["re"] == pytest.approx(-2.0, abs=1e-12)
+
+    def test_csv_lines_are_those_of_csv_writer(self, capsys):
+        argv = ("zeros", "--f", CUBE, "--backend", "float", "--alpha", "0.5",
+                "--n-range", "2..7")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        _, rows, _ = run(capsys, *argv, "--format", "json")
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["n", "root_index", "re", "im", "modulus"])
+        for r in json.loads(rows):
+            w.writerow([r["n"], r["root_index"], repr(r["re"]), repr(r["im"]),
+                        repr(r["modulus"])])
+        assert out == buf.getvalue()
 
     def test_descending_range_rejected(self, capsys):
         code, out, err = run(capsys, "zeros", "--f", ONE_MINUS_Z,
@@ -457,3 +473,35 @@ def test_non_finite_alpha_is_json_validation_error(capsys, alpha, backend):
 def test_help_still_exits_0(capsys):
     code, out, err = run(capsys, "approximant", "--help")
     assert code == 0 and "--n" in out and err == ""
+
+
+def test_parser_built_once_gives_each_call_its_own_output(capsys):
+    calls = [("zeros", "--f", CUBE, "--n-range", "0..4", "--format", "json"),
+             ("zeros", "--f", CUBE, "--n-range", "0..4"),     # CSV by default
+             ("zeros", "--f", CUBE, "--n-range"),             # malformed
+             ("cyclicity", "--f", ONE_MINUS_Z, "--max-n", "3")]
+    in_series = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert in_series == alone
+    assert [code for code, _, _ in in_series] == [0, 0, 2, 0]
+    assert in_series[1][1].startswith("n,root_index,re,im,modulus\r\n")
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+_LEAVES = (_FLOATS | st.integers() | st.integers(-10 ** 300, 10 ** 300) | st.booleans()
+           | st.none() | st.text())
+_JSON = st.recursive(
+    _LEAVES | st.fixed_dictionaries({"re": _FLOATS, "im": _FLOATS}),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_is_json_dumps_with_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)

@@ -23,3 +23,13 @@ def test_no_unused_imports():
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).partition(".")[0] not in used]
     assert unused == []
+
+
+def test_cli_pretty_json_has_one_path():
+    # json.dumps(..., indent=...) runs the pure-Python encoder; the CLI's
+    # pretty output goes through cli._dumps
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    indented = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps" and any(k.arg == "indent" for k in node.keywords)]
+    assert indented == []

@@ -12,7 +12,8 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        first_zero_with_tail, fixed_point_residual, optimal,
                        poly_mul, poly_roots, realize, zero_bound_check)
 from optapprox.errors import DegenerateError
-from optapprox.zeros import NO_FINITE_ZERO, _cluster, _newton_polish
+from optapprox.zeros import (NO_FINITE_ZERO, _cluster, _float_view, _newton_polish,
+                             poly_roots_batch)
 
 from conftest import random_poly
 
@@ -104,6 +105,11 @@ def _roots_scalar(coeffs):
     return tuple(_cluster([_newton_polish_scalar(coeffs, complex(z)) for z in raw]))
 
 
+def _bits(roots):
+    # == takes -0.0 for 0.0, and the output prints them apart
+    return [(repr(z.real), repr(z.imag)) for z in roots]
+
+
 class TestVectorizedNewton:
     """poly_roots polishes all roots in one array pass; it must return the
     same bits as the scalar iteration."""
@@ -117,14 +123,15 @@ class TestVectorizedNewton:
         [1, 2, 1], [2, -3, 1], [1, 0, 0, 0, 0, 1], [1e-3, 1, 1e3]])
     def test_special_cases(self, coeffs):
         got = poly_roots(Series.from_complex(coeffs)).roots
-        assert got == _roots_scalar(coeffs)
+        assert _bits(got) == _bits(_roots_scalar(coeffs))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_step_keeps_the_best_iterate(self):
         # z^2 - 1 at 1e-300: the Newton step lands near 5e299, where p
         # overflows; the root keeps its start, silently
         z = np.array([1e-300 + 0j])
-        assert _newton_polish(np.array([-1, 0, 1], dtype=np.complex128), z) == z
+        C = np.array([[1, 0, -1]], dtype=np.complex128)   # decreasing order
+        assert _newton_polish(C, np.array([0]), z) == z
 
     def test_random_degrees(self, rng):
         for _ in range(300):
@@ -133,11 +140,56 @@ class TestVectorizedNewton:
             if rng.random() < 0.3:
                 c = c.real.astype(np.complex128)
             zs = poly_roots(Series.from_complex(c))
-            assert zs.roots == _roots_scalar(c)
+            assert _bits(zs.roots) == _bits(_roots_scalar(c))
             want = [abs(np.polyval(c[::-1], z)) / max(1.0, abs(z)) ** deg
                     for z in zs.roots]
             # |zeta|^deg carries up to deg rounding units
             np.testing.assert_allclose(zs.residuals, want, rtol=1e-13, atol=0)
+
+
+class TestBatchedRoots:
+    """poly_roots_batch runs one Newton pass over the roots of a list of
+    polynomials; each root must keep the bits of the scalar iteration on
+    its own polynomial."""
+
+    def test_mixed_list_against_the_scalar_oracle(self, rng):
+        ps = [Series.exact([7]),
+              Series.exact([10 ** 100, -(10 ** 200 + Fraction(1, 10 ** 100)), 1]),
+              Series.from_complex([1e100, -1e200, 1.0]),   # a far root
+              Series.from_complex([0, 0, 0, 2.5])]
+        for _ in range(40):
+            deg = int(rng.integers(0, 61))
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            kind = rng.integers(4)
+            if kind == 0:     # double roots
+                c = np.poly(np.repeat(rng.normal(size=deg // 2 + 1), 2))[::-1]
+            elif kind == 1:
+                c = c.real
+            ps.append(Series.exact([Fraction(x).limit_denominator(10 ** 6) for x in c.real])
+                      if kind == 2 else Series.from_complex(c))
+        rng.shuffle(ps)
+        with np.errstate(over="ignore", invalid="ignore"):   # the far roots
+            want = [_bits(_roots_scalar(_float_view(p, p.degree))) for p in ps]
+        got = poly_roots_batch(ps)
+        assert [_bits(zs.roots) for zs in got] == want
+        assert [zs.effective_degree for zs in got] == [p.degree for p in ps]
+        assert [zs.residuals for zs in got] == [poly_roots(p).residuals for p in ps]
+
+    def test_empty_and_constant_lists(self):
+        assert poly_roots_batch([]) == []
+        assert poly_roots_batch([Series.exact([3])]) == [poly_roots(Series.exact([3]))]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("failing, error", [
+        ([Series.exact([0, 0]), Series.from_complex([1e300, 1e-10])], DegenerateError),
+        ([Series.from_complex([1e300, 1e-10]), Series.exact([0, 0])], OverflowError)])
+    def test_the_first_failing_polynomial_raises(self, failing, error):
+        ps = [Series.exact([1, 2, 1]), Series.exact([5])] + failing + [Series.exact([1, -1])]
+        with pytest.raises(error) as raised:
+            poly_roots_batch(ps)
+        with pytest.raises(error) as alone:
+            poly_roots(failing[0])
+        assert str(raised.value) == str(alone.value)
 
 
 class TestFirstZero:
