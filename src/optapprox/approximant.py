@@ -16,7 +16,7 @@ import numpy as np
 from . import linsolve
 from .exact import abs_sq
 from .series import Series, poly_mul, poly_sub, scale
-from .spaces import _f0_nonzero, gram, gram_numerators, norm_sq
+from .spaces import gram, norm_sq
 
 
 @dataclass(frozen=True)
@@ -28,33 +28,22 @@ class ApproximantResult:
     tail_error_bound: float
 
 
-def _gram_system(f: Series, n: int, alpha) -> tuple:
-    """The Gram matrix to factor and its tail estimate: for an exact
-    polynomial f, its band of integer numerators, which linsolve takes as
-    it is."""
-    if f.backend == "exact" and f.is_exact_polynomial:
-        _f0_nonzero(f)
-        return gram_numerators(f, n, alpha), 0.0
-    system = gram(f, n, alpha)
-    return system.matrix, system.tail_error_bound
-
-
 def _approximants(f: Series, degrees, alpha) -> list:
     """Approximants of each degree in ``degrees`` from one factorization
     of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
     gives conj(G) c = conj(f(0)) e_0, so c = conj(y) for G y = f(0) e_0,
-    and the degree-n system is the leading (n+1)-block of G.  For an exact
-    polynomial f, G is its band of integer numerators (and np.conj
-    conjugates the exact y one by one)."""
-    G, tail = _gram_system(f, max(degrees), alpha)
+    and the degree-n system is the leading (n+1)-block of G (np.conj
+    conjugates an exact y one by one)."""
+    system = gram(f, max(degrees), alpha)
     f0 = f.at0()
-    y = np.conj(linsolve.solve(linsolve.factor(G, f0), [n + 1 for n in degrees]))
+    y = np.conj(linsolve.solve(linsolve.factor(system.matrix, f0),
+                               [n + 1 for n in degrees]))
     out, start = [], 0
     for n in degrees:
         p = f.like(y[start: start + n + 1])
         start += n + 1
         p0 = p.at0()
-        out.append(ApproximantResult(n, p, p0, 1 - (p0 * f0).real, tail))
+        out.append(ApproximantResult(n, p, p0, 1 - (p0 * f0).real, system.tail_error_bound))
     return out
 
 
@@ -78,12 +67,12 @@ def distance(f: Series, n: int, alpha):
 def pn0_via_determinants(f: Series, n: int, alpha):
     """p_n(0) = conj(f(0)) det(M-hat) / det(M), where M-hat is the lower
     right n x n minor of the Gram matrix."""
-    system = gram(f, n, alpha)
+    M = gram(f, n, alpha).matrix
     if f.backend == "exact":
-        M = system.matrix
-        minor = tuple(tuple(row[1:]) for row in M[1:])
+        minor = linsolve.IntegerMatrix(
+            tuple({j - 1: x for j, x in row.items() if j} for row in M.rows[1:]),
+            M.denominator, M.gaussian)
         return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(M)
-    M = np.asarray(system.matrix)
     return complex(np.conj(f.at0()) * np.linalg.det(M[1:, 1:]) / np.linalg.det(M))
 
 
@@ -115,7 +104,7 @@ def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
     from .kernels import kernel_eval_from_basis
     from .orthopoly import _basis_from
 
-    G = _gram_system(f, n, alpha)[0]
+    G = gram(f, n, alpha).matrix
     F = linsolve.factor(G)
     f0 = f.at0()
     f0_sq = abs_sq(f0)

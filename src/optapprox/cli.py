@@ -153,10 +153,7 @@ def _load_function(args) -> Series:
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"--f is not valid JSON: {exc}") from exc
     spec = families.spec_from_json(obj, backend=args.backend)
-    f = families.realize(spec)
-    if args.backend == "float" and f.backend == "exact":
-        f = f.to_float()
-    return f
+    return families.realize(spec)
 
 
 def _write_output(args, text: str) -> None:

@@ -22,7 +22,7 @@ from .errors import DegenerateError, UnsupportedAlphaError
 from .exact import abs_sq
 from .orthopoly import OrthonormalBasis, basis
 from .series import Series, poly_eval, poly_mul
-from .spaces import _f0_nonzero, gram_matrix, gram_numerators
+from .spaces import _f0_nonzero, gram_matrix
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def cyclicity_report(f: Series, alpha, max_n: int) -> CyclicityReport:
     monic psi_k, so |phi_k(0)|^2 = |(L^-1 e_0)_k|^2 / D_k.  Float: refused
     as the approximants of n <= max_n are."""
     _f0_nonzero(f)
-    G = (gram_matrix if f.backend == "float" else gram_numerators)(f, max_n, alpha)
-    F = linsolve.factor(G, f.scalar(1))
+    F = linsolve.factor(gram_matrix(f, max_n, alpha), f.scalar(1))
     col, norms = linsolve.forward(F, range(1, max_n + 2))
     f0 = f.at0()
     sums = tuple(accumulate(abs_sq(x[0]) / s for x, s in zip(col, norms)))

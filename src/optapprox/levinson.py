@@ -5,7 +5,9 @@ M_{k,l} = M_{k-l,0} and one autocorrelation column determines the whole
 system.  The Levinson recursion then produces the optimal-approximant
 coefficients degree by degree together with the reflection coefficients
 Gamma_n, and the infinite product of (1 - |Gamma_n|^2) characterizes
-outer functions.
+outer functions.  The column is column 0 of ``spaces.gram_matrix(f, n,
+0)``, the matrix every other solver factors: in floats, the n+1 lags of
+one streamed pass over f, so a truncated family is never held whole.
 
 The recursion is stated for f(0) = 1; general f is normalized to
 g = f / f(0) internally and the coefficients are rescaled afterwards
@@ -21,13 +23,18 @@ from functools import cached_property
 from .errors import BreakdownError, DegenerateError
 from .exact import abs_sq
 from .series import Series
-from .spaces import _f0_nonzero, norm_sq, shifted_inner
+from .spaces import _f0_nonzero, gram_matrix
 
 
 def toeplitz_column(f: Series, n_max: int):
-    """Autocorrelation column (<z^k f, f>_0)_{k=0..n_max}; the full Gram
-    matrix follows via M_{k,l} = column[k-l] (conjugate for k < l)."""
-    return tuple(shifted_inner(f, k, 0, 0) for k in range(n_max + 1))
+    """Autocorrelation column (<z^k f, f>_0)_{k=0..n_max}, column 0 of
+    ``gram_matrix(f, n_max, 0)``, with ||f||^2 real at k = 0; the full
+    Gram matrix follows via M_{k,l} = column[k-l] (conjugate for k < l).
+    Float: a ConditioningError when it overflows."""
+    G = gram_matrix(f, n_max, 0)
+    if f.backend == "float":
+        return tuple(G[:, 0].tolist())
+    return tuple(row[0] for row in G.to_exact())
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def outer_criterion_partial(f: Series, N: int) -> OuterCriterion:
 def outer_criterion(f: Series, state: LevinsonState) -> OuterCriterion:
     """The outer-function criterion from the reflection coefficients of
     ``state = levinson_solve(f, N)``, without running the recursion again."""
-    target = f.at0().conjugate() / norm_sq(f, 0)
+    target = f.at0().conjugate() / state.autocorr[0].real   # ||f||^2
     prod, products, p0s = 1, [], []
     for gamma in state.gammas:
         prod = prod * (1 - abs_sq(gamma))

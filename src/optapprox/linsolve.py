@@ -7,9 +7,9 @@ and D.  Float backend: Cholesky factorization, condition estimate from
 the factor.  Exact backend: fraction-free elimination (Bareiss, Math.
 Comp. 22, 1968) over the integers or the Gaussian integers of an
 :class:`IntegerMatrix`, integer numerators over one denominator that
-store only the nonzero entries, as ``spaces.gram_numerators`` builds the
-Gram band (rows of exact scalars are scaled by the lcm of their
-denominators).  It skips zeros (see :func:`_eliminate`), so a band of
+store only the nonzero entries, the form in which ``spaces.gram_matrix``
+builds the exact Gram band (rows of exact scalars are scaled by the lcm of
+their denominators).  It skips zeros (see :func:`_eliminate`), so a band of
 width d costs O(n d^2) big-int steps.  Fractions appear only in results.
 """
 

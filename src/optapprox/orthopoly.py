@@ -21,7 +21,7 @@ from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
 from .exact import abs_sq
 from .series import Series, poly_add, poly_sub, reflect, scale
-from .spaces import _product, gram_matrix, gram_numerators
+from .spaces import _product, gram_matrix
 
 #: Maximum tolerated orthogonality defect |<psi_k f, psi_j f>| / sqrt(s_k s_j)
 #: of the float basis.
@@ -95,7 +95,7 @@ def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     """
     if f.is_zero:
         raise DegenerateError("cannot orthogonalize against the zero function")
-    G = (gram_matrix if f.backend == "float" else gram_numerators)(f, n, alpha)
+    G = gram_matrix(f, n, alpha)
     return _basis_from(f, n, alpha, G, linsolve.factor(G))
 
 

@@ -5,17 +5,18 @@ with alpha = 0 the Hardy space, alpha = -1 the Bergman space and
 alpha = 1 the Dirichlet space.  The exact backend only admits integer
 alpha, so that every weight (k+1)^alpha stays rational.
 
-The float Gram matrix of shifted inner products is one blocked matrix
-product F^H W F over the coefficients, or at alpha = 0 the n+1 lags of
-its Toeplitz column (see :func:`gram_matrix`).  It is summed in one pass
-over the blocks of the series, so a truncated family is generated inside
-the pass and never held whole, and the same pass gives the matrix of the
-half truncation that :func:`gram` and ``zeros.first_zero_with_tail``
-read their tail estimates from (see :func:`gram_matrices`).  The
-exact one is built as integers: the numerators of its band, over one
-common denominator (see :func:`gram_numerators`), which the exact solver
-takes as they are.  The single entries of :func:`shifted_inner` stay as
-the independent reference of both.
+:func:`gram_matrix` builds the Gram matrix of shifted inner products in
+the form ``linsolve.factor`` takes, and every consumer reads that form,
+Levinson's alpha = 0 column included.  The float one is one blocked
+matrix product F^H W F over the coefficients, or at alpha = 0 the n+1
+lags of its Toeplitz column, summed in one pass over the blocks of the
+series: a truncated family is generated inside the pass and never held
+whole, and the same pass gives the matrix of the half truncation that
+:func:`gram` and ``zeros.first_zero_with_tail`` read their tail
+estimates from (see :func:`gram_matrices`).  The exact one is the band
+of its integer numerators over one common denominator.  The single
+entries of :func:`shifted_inner` stay as the independent reference of
+both, called by no module of the package.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class GramSystem:
     """Gram matrix G_kl = <z^k f, z^l f>_alpha of the approximant problem,
     with the estimated truncation error of its entries."""
 
-    matrix: object          # tuple-of-tuples (exact) or np.ndarray (float)
+    matrix: object          # IntegerMatrix (exact) or np.ndarray (float)
     tail_error_bound: float  # 0 for exact polynomials
 
 
@@ -239,21 +240,36 @@ def _gram_float(f: Series, n: int, alpha, H: int | None = None) -> tuple:
     return G, G if acc_h is acc else _gram_from(acc_h)
 
 
-def gram_numerators(f: Series, n: int, alpha) -> IntegerMatrix:
-    """The exact (n+1)x(n+1) Gram matrix <z^k f, z^l f>_alpha as integer
-    numerators over one common denominator.
+def gram_matrix(f: Series, n: int, alpha):
+    """(n+1)x(n+1) matrix of shifted inner products <z^k f, z^l f>_alpha,
+    in the form ``linsolve.factor`` takes.
 
-    With f = a / c for integral a (c the lcm of the coefficients'
+    Float backend: one product M = F^H W F, where row m of F holds
+    (f_m, f_{m-1}, ..., f_{m-n}) and W = diag((m+1)^alpha).  F is a
+    reversed sliding window over the zero-padded coefficients, and the
+    product is accumulated over blocks of rows taken from
+    ``f.blocks(_GRAM_BLOCK)``, so memory does not grow with the series
+    length, and a BlockSeries is generated inside the pass.  Real
+    coefficients (the eta family, say) run in float64.  At alpha = 0 the
+    matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
+    n+1 lags r_j = sum_m f_m conj(f_{m-j}), with r_0 real: O(M n) instead
+    of O(M n^2).  The result is an exactly Hermitian, read-only complex128
+    array; a matrix with an entry that is not finite raises
+    ConditioningError.
+
+    Exact backend: an :class:`~optapprox.linsolve.IntegerMatrix`.  With
+    f = a / c for integral a (c the lcm of the coefficients'
     denominators), and W = lcm((m+1)^|alpha|) for alpha < 0 (else 1), the
     numerator of G_kl is sum_m W (m+1)^alpha a_{m-k} conj(a_{m-l}) and the
     denominator is c^2 W.  Numerators are ints for real f and (re, im)
     Gaussian-integer pairs for complex f.  For f of degree d the matrix is a
     Hermitian band, G_kl = 0 when |k - l| > d, so only the band is computed
-    and stored: O(n d^2) products of small integers.
+    and stored: O(n d^2) products of small integers.  ``to_exact()`` gives
+    its rows of exact scalars.
     """
-    if f.backend != "exact":
-        raise BackendMismatchError("gram_numerators() needs an exact series")
     _check_alpha(f.backend, alpha)
+    if f.backend == "float":
+        return _gram_float(f, n, alpha)[0]
     alpha = int(alpha)
     coeffs = f.coeffs[: f.degree + 1]
     d = len(coeffs) - 1
@@ -280,31 +296,6 @@ def gram_numerators(f: Series, n: int, alpha) -> IntegerMatrix:
                 rows[k][k + t] = (x, y) if gaussian else x
                 rows[k + t][k] = (x, -y) if gaussian else x
     return IntegerMatrix(rows, c * c * W, gaussian)
-
-
-def gram_matrix(f: Series, n: int, alpha):
-    """(n+1)x(n+1) matrix of shifted inner products <z^k f, z^l f>_alpha.
-
-    Float backend: one product M = F^H W F, where row m of F holds
-    (f_m, f_{m-1}, ..., f_{m-n}) and W = diag((m+1)^alpha).  F is a
-    reversed sliding window over the zero-padded coefficients, and the
-    product is accumulated over blocks of rows taken from
-    ``f.blocks(_GRAM_BLOCK)``, so memory does not grow with the series
-    length, and a BlockSeries is generated inside the pass.  Real
-    coefficients (the eta family, say) run in float64.  At alpha = 0 the
-    matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
-    n+1 lags r_j = sum_m f_m conj(f_{m-j}): O(M n) instead of O(M n^2).
-    The result is an exactly Hermitian, read-only complex128 array; a
-    matrix with an entry that is not finite raises ConditioningError.
-
-    Exact backend: the band of integer numerators of
-    :func:`gram_numerators`, each nonzero one divided once by the common
-    denominator; entries outside the band are exact zeros.
-    """
-    _check_alpha(f.backend, alpha)
-    if f.backend == "float":
-        return _gram_float(f, n, alpha)[0]
-    return gram_numerators(f, n, alpha).to_exact()
 
 
 def gram_matrices(f: Series, n: int, alpha, H: int) -> tuple:

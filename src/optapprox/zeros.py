@@ -248,15 +248,15 @@ def first_zero(f: Series, alpha):
     """The zero of the first-order approximant:
     z_1 = ||z f||^2_alpha / <f, z f>_alpha.
 
-    Both inner products are entries of the 2x2 Gram matrix: num = G[1][1]
-    and den = G[0][1], so the float backend runs the blocked Gram kernel
-    of :func:`~optapprox.spaces.gram_matrix` (in float64 for real f).
+    Both inner products are entries of the 2x2 Gram matrix of
+    :func:`~optapprox.spaces.gram_matrix`: num = G_11 and den = G_01.
 
     Returns NO_FINITE_ZERO when the denominator vanishes (p_1 is constant
     and its zero is interpreted as infinity); in the float backend, when
     it is rounding noise next to ||f|| ||z f||.
     """
-    return _first_zero_of(gram_matrix(f, 1, alpha), f.backend)
+    G = gram_matrix(f, 1, alpha)
+    return _first_zero_of(G if f.backend == "float" else G.to_exact(), f.backend)
 
 
 def _first_zero_of(G, backend: str):

@@ -53,7 +53,8 @@ class TestOptimal:
                 sys = gram(f, 3, alpha)
                 # normal equations: the transposed Gram matrix, and the
                 # right-hand side conj(f(0)) e_0
-                transposed = tuple(tuple(sys.matrix[l][k] for l in range(4))
+                M = sys.matrix.to_exact()
+                transposed = tuple(tuple(M[l][k] for l in range(4))
                                    for k in range(4))
                 rhs = (f.at0().conjugate(),) + (ExactComplex(0),) * 3
                 oracle = exact_gauss_solve(transposed, rhs)
@@ -68,7 +69,7 @@ class TestOptimal:
         for f in (CUBE, complex_f):
             for alpha in range(-2, 3):
                 sweep = optimal_sweep(f, 5, alpha)
-                G = gram(f, 5, alpha).matrix
+                G = gram(f, 5, alpha).matrix.to_exact()
                 for n in range(6):
                     single = optimal(f, n, alpha)
                     assert (sweep[n].p.coeffs, sweep[n].distance_sq) == \

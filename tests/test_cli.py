@@ -169,6 +169,17 @@ class TestLevinson:
         assert payload["outer_target"] == "1/2"
         assert payload["outer_partial_products"] == ["3/4", "2/3", "5/8"]
 
+    def test_float_norm_is_a_real_number(self, capsys):
+        # ||f||^2 = <f, f> prints as a JSON number, not as {"re", "im"}
+        spec = ('{"coefficients":[{"re":0.3,"im":-0.7},{"re":0.1,"im":0.9},'
+                '{"re":-0.55,"im":0.35}]}')
+        code, out, _ = run(capsys, "levinson", "--backend", "float", "--f", spec, "--n", "4")
+        assert code == 0
+        norm = json.loads(out)["autocorrelation"][0]
+        assert isinstance(norm, float)
+        assert norm == pytest.approx(0.3 ** 2 + 0.7 ** 2 + 0.1 ** 2 + 0.9 ** 2
+                                     + 0.55 ** 2 + 0.35 ** 2, rel=1e-15)
+
 
 class TestFirstZero:
     def test_exact_value(self, capsys):
@@ -292,6 +303,7 @@ OVERFLOWING_SPECS = [
     ("first-zero",),
     ("cyclicity", "--max-n", "3"),
     ("orthopoly", "--n", "2"),
+    ("levinson", "--n", "2"),
 ], ids=lambda c: c[0])
 @pytest.mark.parametrize("spec", OVERFLOWING_SPECS)
 def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):

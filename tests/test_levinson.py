@@ -1,6 +1,7 @@
 """Toeplitz structure, Levinson recursion and the outer-function criterion
 (Hardy case, alpha = 0)."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from optapprox import (ExactComplex, FunctionSpec, Series, gram,
                        levinson_solve, optimal, outer_criterion_partial,
                        poly_roots, realize, reflection_coefficients,
-                       toeplitz_column)
+                       shifted_inner, toeplitz_column)
 from optapprox.errors import ZeroAtOriginError
+from optapprox.levinson import outer_criterion
 
 from conftest import random_poly
 
@@ -41,11 +43,42 @@ class TestToeplitzColumn:
             coeffs[0] = (int(rng.integers(1, 4)), 0)
             f = Series.exact(coeffs)
             col = toeplitz_column(f, 4)
-            M = gram(f, 4, 0).matrix
+            M = gram(f, 4, 0).matrix.to_exact()
             for k in range(5):
                 for l in range(5):
                     expected = col[k - l] if k >= l else col[l - k].conjugate()
                     assert M[k][l] == expected
+
+    def test_matches_shifted_inner(self, rng):
+        # the independent reference: equal in the exact backend, within
+        # 1e-13 of ||f||^2 in the float one
+        for _ in range(5):
+            coeffs = [(int(a), int(b)) for a, b in
+                      zip(rng.integers(-3, 4, 6), rng.integers(-3, 4, 6))]
+            coeffs[0] = (int(rng.integers(1, 4)), 0)
+            f = Series.exact(coeffs)
+            assert toeplitz_column(f, 8) == tuple(shifted_inner(f, k, 0, 0) for k in range(9))
+        fs = [random_poly(rng, 6, complex_coeffs=True) for _ in range(3)]
+        fs += [realize(FunctionSpec("eta_family", {"eta": 0.3, "truncation": 3 * 10 ** 4},
+                                    "float")),
+               realize(FunctionSpec("blaschke", {"lambda": 0.6 - 0.3j, "truncation": 5000},
+                                    "float"))]
+        for f in fs:
+            col = toeplitz_column(f, 8)
+            ref = [shifted_inner(f, k, 0, 0) for k in range(9)]
+            assert max(abs(a - b) for a, b in zip(col, ref)) <= 1e-13 * ref[0].real
+            assert type(col[0]) is complex and col[0].imag == 0.0
+
+    def test_truncated_family_is_not_held_whole(self):
+        # the 1e6 coefficients are generated and summed block by block
+        f = realize(FunctionSpec("eta_family", {"eta": 0.3, "truncation": 10 ** 6}, "float"))
+        tracemalloc.start()
+        try:
+            outer_criterion(f, levinson_solve(f, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestLevinsonSolve:

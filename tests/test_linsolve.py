@@ -9,10 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optapprox import ExactComplex, Series, basis, gram, weighted_inner
+from optapprox import ExactComplex, Series, basis, gram, gram_matrix, weighted_inner
 from optapprox.errors import DegenerateError
 from optapprox.linsolve import det_exact, factor, forward, solve
-from optapprox.spaces import gram_numerators
 
 from conftest import exact_gauss_solve
 
@@ -66,18 +65,17 @@ def inverse_from_ldl(G):
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas, gaussian_rationals)
 def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b0):
-    system = gram(f, n, alpha)
+    G = gram(f, n, alpha).matrix.to_exact()
     e0 = (f.at0(),) + (ExactComplex(0),) * n
-    assert list(solve(factor(system.matrix, f.at0()))) == exact_gauss_solve(system.matrix, e0)
+    assert list(solve(factor(G, f.at0()))) == exact_gauss_solve(G, e0)
     rhs = (b0,) + (ExactComplex(0),) * n
-    assert list(solve(factor(system.matrix, b0))) == exact_gauss_solve(system.matrix, rhs)
+    assert list(solve(factor(G, b0))) == exact_gauss_solve(G, rhs)
     # every leading system from the one elimination, in the order asked for
     sizes = list(range(n + 1, 0, -1))
     leading = [x for m in sizes
-               for x in exact_gauss_solve([row[:m] for row in system.matrix[:m]], rhs[:m])]
-    assert list(solve(factor(system.matrix, b0), sizes)) == leading
+               for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
+    assert list(solve(factor(G, b0), sizes)) == leading
     # B = I: its first column, and every column of G^-1 from L^-1 and D
-    G = system.matrix
     unit = [[ExactComplex(int(i == j)) for i in range(n + 1)] for j in range(n + 1)]
     assert list(solve(factor(G))) == exact_gauss_solve(G, unit[0])
     inverse = inverse_from_ldl(G)
@@ -97,7 +95,7 @@ def test_solve_matches_gauss_oracle_on_general_matrices(M, b0):
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas)
 def test_det_matches_cofactor_expansion_on_gram(f, n, alpha):
-    M = gram(f, n, alpha).matrix
+    M = gram(f, n, alpha).matrix.to_exact()
     assert det_exact(M) == cofactor_det(M)
 
 
@@ -176,24 +174,24 @@ def monic_orthogonal_oracle(G):
 @given(band_cases(), alphas)
 def test_band_gram_solve_with_sizes(case, alpha):
     f, n = case
-    G = gram(f, n, alpha).matrix
+    G = gram(f, n, alpha).matrix.to_exact()
     assert G[0][n] == ExactComplex(0)   # outside the band
     rhs = (f.at0(),) + (ExactComplex(0),) * n
     sizes = list(range(1, n + 2))
     leading = [x for m in sizes
                for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
     assert list(solve(factor(G, f.at0()), sizes)) == leading
-    assert list(solve(factor(gram_numerators(f, n, alpha), f.at0()), sizes)) == leading
+    assert list(solve(factor(gram_matrix(f, n, alpha), f.at0()), sizes)) == leading
 
 
 @settings(max_examples=40, deadline=None)
 @given(band_cases(), alphas)
 def test_band_gram_inverse_ldl(case, alpha):
     f, n = case
-    G = gram(f, n, alpha).matrix
+    G = gram(f, n, alpha).matrix.to_exact()
     oracle = monic_orthogonal_oracle(G)
     assert forward(factor(G)) == oracle
-    assert forward(factor(gram_numerators(f, n, alpha))) == oracle
+    assert forward(factor(gram_matrix(f, n, alpha))) == oracle
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,9 +199,10 @@ def test_band_gram_inverse_ldl(case, alpha):
 def test_band_gram_det(case, alpha):
     f, n = case
     n = min(n, 5)   # the cofactor oracle grows like n!
-    det = cofactor_det(gram(f, n, alpha).matrix)
-    assert det_exact(gram(f, n, alpha).matrix) == det
-    assert det_exact(gram_numerators(f, n, alpha)) == det
+    G = gram_matrix(f, n, alpha)
+    det = cofactor_det(G.to_exact())
+    assert det_exact(G.to_exact()) == det
+    assert det_exact(G) == det
 
 
 sparse_entries = st.one_of(st.just(ExactComplex(0)), st.just(ExactComplex(0)),

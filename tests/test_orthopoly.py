@@ -155,7 +155,7 @@ class TestFloatBasisKernel:
         cert, limit = float(str(err.value).split()[2]), orthopoly.ORTHO_RESIDUAL_LIMIT
         monkeypatch.setattr(orthopoly, "ORTHO_RESIDUAL_LIMIT", 1.0)
         monic = basis(Series.from_complex(c), n, alpha).monic
-        G = gram_matrix(Series.exact(c), n, alpha)
+        G = gram_matrix(Series.exact(c), n, alpha).to_exact()
         # C G C^H over the Gaussian integers: every float is a dyadic rational
         g = math.lcm(*(x.denominator for row in G for z in row for x in (z.re, z.im)))
         Gr = np.array([[int(z.re * g) for z in row] for row in G], dtype=object)

@@ -33,3 +33,16 @@ def test_cli_pretty_json_has_one_path():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "dumps" and any(k.arg == "indent" for k in node.keywords)]
     assert indented == []
+
+
+def test_no_module_calls_the_reference_inner_product():
+    # spaces.shifted_inner is the independent reference the tests check the
+    # Gram matrices against; no code path of the package may run through it
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "shifted_inner":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

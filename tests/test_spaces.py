@@ -11,7 +11,7 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
                        gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
 from optapprox.errors import BackendMismatchError, ZeroAtOriginError
-from optapprox.spaces import _GRAM_BLOCK, _product, gram_matrices, gram_numerators
+from optapprox.spaces import _GRAM_BLOCK, _product, gram_matrices
 
 from conftest import random_poly
 
@@ -87,7 +87,7 @@ class TestShiftedInner:
 class TestGram:
     def test_one_minus_z(self):
         sys = gram(Series.exact([1, -1]), 1, 0)
-        assert sys.matrix == ((ExactComplex(2), ExactComplex(-1)),
+        assert sys.matrix.to_exact() == ((ExactComplex(2), ExactComplex(-1)),
                               (ExactComplex(-1), ExactComplex(2)))
         assert sys.tail_error_bound == 0.0
 
@@ -98,11 +98,11 @@ class TestGram:
                 tuple(ExactComplex(Fraction(k + 1) ** alpha) if k == l
                       else ExactComplex(0) for l in range(3))
                 for k in range(3))
-            assert sys.matrix == expected
+            assert sys.matrix.to_exact() == expected
 
     def test_binomial_cube_bergman2(self):
         sys = gram(Series.exact([1, 3, 3, 1]), 1, -2)
-        assert sys.matrix == (
+        assert sys.matrix.to_exact() == (
             (ExactComplex(Fraction(69, 16)), ExactComplex(Fraction(31, 16))),
             (ExactComplex(Fraction(31, 16)), ExactComplex(Fraction(741, 400))))
 
@@ -175,7 +175,7 @@ def test_gram_positive_definite(rng):
         coeffs[0] = (int(rng.integers(1, 5)), 0)
         f = Series.exact(coeffs)
         for alpha in (-2, 0, 1):
-            M = gram(f, 3, alpha).matrix
+            M = gram(f, 3, alpha).matrix.to_exact()
             # all leading principal minors positive
             for m in range(1, 5):
                 sub = tuple(row[:m] for row in M[:m])
@@ -327,7 +327,7 @@ def exact_polynomials(draw):
 def test_gram_numerators_match_shifted_inner(f, alpha, data):
     d = max(len(f) - 1, 0)
     n = data.draw(st.integers(0, 3 * d + 2))
-    N = gram_numerators(f, n, alpha)
+    N = gram_matrix(f, n, alpha)
     assert len(N.rows) == n + 1
     for k in range(n + 1):
         for l in range(n + 1):
@@ -337,13 +337,13 @@ def test_gram_numerators_match_shifted_inner(f, alpha, data):
                 == shifted_inner(f, k, l, alpha)
             if abs(k - l) > d:
                 assert l not in N.rows[k]   # outside the band: an exact zero, not stored
-    assert gram_matrix(f, n, alpha) == tuple(
+    assert N.to_exact() == tuple(
         tuple(shifted_inner(f, k, l, alpha) for l in range(n + 1)) for k in range(n + 1))
 
 
 def test_gram_numerators_denominator():
     # f = (1/2 + z/3): c = 6; alpha = -2 over m = 0..3: W = lcm(1, 4, 9, 16) = 144
-    N = gram_numerators(Series.exact(["1/2", "1/3"]), 2, -2)
+    N = gram_matrix(Series.exact(["1/2", "1/3"]), 2, -2)
     assert N.denominator == 36 * 144 and not N.gaussian
     # G_00 = 1/4 + 1/36, G_01 = (1/3)(1/2)/4 = 1/24
     assert Fraction(N.rows[0][0], N.denominator) == Fraction(1, 4) + Fraction(1, 36)
@@ -353,9 +353,7 @@ def test_gram_numerators_denominator():
 
 def test_gram_numerators_need_the_exact_backend():
     with pytest.raises(BackendMismatchError):
-        gram_numerators(Series.from_complex([1.0, 0.5]), 2, 0)
-    with pytest.raises(BackendMismatchError):
-        gram_numerators(Series.exact([1, 1]), 2, 0.5)
+        gram_matrix(Series.exact([1, 1]), 2, 0.5)
 
 
 # -- one pass over a block-generated series, with its half truncation -------
