@@ -9,7 +9,7 @@ recursion, approximant zero sets, and cyclicity diagnostics -- in either
 an exact complex-rational backend or a float backend.
 """
 
-from .exact import ExactComplex, format_rational, parse_rational
+from .exact import ExactComplex, format_rational
 from .series import (DEGREE_EPSILON, Series, poly_add, poly_eval, poly_mul,
                      poly_sub, reflect, scale, shift)
 from .spaces import (GramSystem, gram, gram_matrices, gram_matrix, inner,

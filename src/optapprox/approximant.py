@@ -69,10 +69,9 @@ def pn0_via_determinants(f: Series, n: int, alpha):
     right n x n minor of the Gram matrix."""
     M = gram(f, n, alpha).matrix
     if f.backend == "exact":
-        minor = linsolve.IntegerMatrix(
-            tuple({j - 1: x for j, x in row.items() if j} for row in M.rows[1:]),
-            M.denominator, M.gaussian)
-        return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(M)
+        rows = M.to_exact()
+        minor = [row[1:] for row in rows[1:]]
+        return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(rows)
     return complex(np.conj(f.at0()) * np.linalg.det(M[1:, 1:]) / np.linalg.det(M))
 
 

@@ -17,11 +17,7 @@ from numbers import Rational
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Rational, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
@@ -110,10 +106,6 @@ class ExactComplex:
         return self.im
 
     @property
-    def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -150,10 +142,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return _digits(x.numerator)
     return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # -- backend-agnostic scalar helpers ----------------------------------

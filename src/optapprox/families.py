@@ -18,10 +18,12 @@ from functools import partial
 import numpy as np
 
 from .errors import SpecValidationError
-from .exact import parse_rational
 from .series import BlockSeries, Series
 
-FAMILIES = ("one_minus_z_pow", "one_plus_z_pow", "blaschke", "eta_family", "explicit")
+#: The families, each with the params it reads; any other key is refused.
+FAMILIES = {"one_minus_z_pow": ("N",), "one_plus_z_pow": ("N",),
+            "blaschke": ("lambda", "truncation"), "eta_family": ("eta", "truncation"),
+            "explicit": ("coefficients",)}
 
 #: Default truncation degree for the eta family; its coefficients decay
 #: like k^(eta-1), so tails must be long to be honest.
@@ -36,7 +38,7 @@ def _is_number(x, kind=numbers.Real) -> bool:
 def _rational(s: str) -> Fraction:
     """A decimal or ``p/q`` string as a Fraction."""
     try:
-        return parse_rational(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecValidationError(f"bad number {s!r:.40}") from exc
 
@@ -51,6 +53,15 @@ def _exact_part(x):
     if isinstance(x, float):
         raise SpecValidationError("float coefficients are not allowed in the exact backend")
     raise SpecValidationError(f"bad coefficient {x!r}")
+
+
+def _known_keys(obj: dict, known, what: str) -> None:
+    """Refuse a key of ``obj`` that is not in ``known``: a key the code does
+    not read would otherwise be ignored without a word."""
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise SpecValidationError(f"unknown {what} key {unknown[0]!r:.40}; "
+                                  f"expected one of {', '.join(known)}")
 
 
 def _finite_float(x) -> float:
@@ -72,8 +83,9 @@ class FunctionSpec:
     backend: str = "exact"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise SpecValidationError(f"unknown family {self.family!r}")
+        _known_keys(self.params, FAMILIES[self.family], f"{self.family} params")
         if self.backend not in ("exact", "float"):
             raise SpecValidationError(f"unknown backend {self.backend!r}")
         p = self.params
@@ -185,6 +197,7 @@ def realize(spec: FunctionSpec) -> Series:
 
 def _json_parts(c: dict) -> tuple:
     """(re, im) of a {"re":, "im":} value, each a number or a numeric string."""
+    _known_keys(c, ("re", "im"), "complex value")
     parts = (c.get("re", 0), c.get("im", 0))
     if not all(_is_number(x) or isinstance(x, str) for x in parts):
         raise SpecValidationError(f"bad complex value {c!r}")
@@ -196,6 +209,8 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
     {"family": str, "params": {...}} or {"coefficients": [...]}."""
     if not isinstance(obj, dict):
         raise SpecValidationError("function spec must be a JSON object")
+    _known_keys(obj, ("coefficients",) if "coefficients" in obj else ("family", "params"),
+                "function spec")
     if "coefficients" in obj:
         raw = obj["coefficients"]
         if not isinstance(raw, list):
@@ -227,10 +242,6 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
 
 # -- closed-form reference approximants --------------------------------
 
-def _weight_inv_exact(j: int, alpha: int) -> Fraction:
-    return Fraction(1) / Fraction(j + 1) ** alpha
-
-
 def cesaro_closed_form(n: int, alpha) -> Series:
     """Closed-form optimal approximant to 1/(1-z) in D_alpha:
     c_k = (sum_{j=k+1}^{n+1} 1/w(j)) / (sum_{j=0}^{n+1} 1/w(j)),
@@ -241,7 +252,7 @@ def cesaro_closed_form(n: int, alpha) -> Series:
     a = float(alpha)
     if a == int(a):
         alpha = int(a)
-        inv = [_weight_inv_exact(j, alpha) for j in range(n + 2)]
+        inv = [Fraction(j + 1) ** -alpha for j in range(n + 2)]
         total = sum(inv)
         coeffs = []
         tail = total

@@ -84,10 +84,6 @@ class Series:
         return "exact" if isinstance(self.coeffs, tuple) else "float"
 
     @property
-    def truncation_degree(self) -> int:
-        return len(self) - 1
-
-    @property
     def degree(self) -> int:
         """Effective degree: largest index with a nonzero coefficient; in
         the float backend, with a modulus above DEGREE_EPSILON, times the

@@ -14,9 +14,13 @@ series: a truncated family is generated inside the pass and never held
 whole, and the same pass gives the matrix of the half truncation that
 :func:`gram` and ``zeros.first_zero_with_tail`` read their tail
 estimates from (see :func:`gram_matrices`).  The exact one is the band
-of its integer numerators over one common denominator.  The single
-entries of :func:`shifted_inner` stay as the independent reference of
-both, called by no module of the package.
+of its integer numerators over one common denominator.
+
+:func:`inner` is the one reference inner product, with one float and one
+exact body; :func:`norm_sq`, :func:`shifted_inner` and
+:func:`weighted_inner` are reads of it.  They share no code with the Gram
+assembly, so the tests check both Gram forms against them, and no module
+of the package calls :func:`shifted_inner` or :func:`weighted_inner`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from scipy.linalg import toeplitz
 from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
 from .linsolve import IntegerMatrix
-from .series import DEGREE_EPSILON, Series, poly_mul
+from .series import Series, poly_mul, shift
 
 
 def _check_alpha(backend: str, alpha) -> None:
@@ -46,67 +50,32 @@ def _check_alpha(backend: str, alpha) -> None:
             f"exact backend requires integer alpha, got {alpha}")
 
 
-def _weight_exact(k: int, alpha) -> Fraction:
-    return Fraction(k + 1) ** int(alpha)
-
-
-def _weights_float(lo: int, hi: int, alpha: float) -> np.ndarray:
-    # weights (k+1)^alpha for k = lo..hi-1
-    return np.arange(lo + 1, hi + 1, dtype=np.float64) ** float(alpha)
-
-
 def inner(f: Series, g: Series, alpha):
     """<f, g>_alpha = sum_k (k+1)^alpha f_k conj(g_k) over the overlap of
-    the stored coefficient ranges."""
+    the stored coefficient ranges: the one reference inner product."""
     if f.backend != g.backend:
         raise BackendMismatchError("inner() operands must share a backend")
     _check_alpha(f.backend, alpha)
     n = min(len(f), len(g))
     if f.backend == "float":
-        w = _weights_float(0, n, alpha)
+        w = np.arange(1, n + 1, dtype=np.float64) ** float(alpha)
         return complex(np.sum(w * np.asarray(f.coeffs[:n]) * np.conj(g.coeffs[:n])))
     acc = ExactComplex(0)
     for k in range(n):
-        if f.coeffs[k].is_zero or g.coeffs[k].is_zero:
-            continue
-        acc = acc + f.coeffs[k] * g.coeffs[k].conjugate() * _weight_exact(k, alpha)
+        a, b = f.coeffs[k], g.coeffs[k]
+        if not (a.is_zero or b.is_zero):
+            acc = acc + a * b.conjugate() * Fraction(k + 1) ** int(alpha)
     return acc
 
 
 def norm_sq(f: Series, alpha):
     """||f||^2_alpha; a nonnegative real (Fraction in the exact backend)."""
-    _check_alpha(f.backend, alpha)
-    if f.backend == "float":
-        w = _weights_float(0, len(f), alpha)
-        return float(np.sum(w * np.abs(np.asarray(f.coeffs)) ** 2))
-    acc = Fraction(0)
-    for k, c in enumerate(f.coeffs):
-        if not c.is_zero:
-            acc += c.abs_sq * _weight_exact(k, alpha)
-    return acc
+    return inner(f, f, alpha).real
 
 
 def shifted_inner(f: Series, j: int, l: int, alpha):
-    """<z^j f, z^l f>_alpha without materializing the shifts:
-    sum over m >= max(j, l) of (m+1)^alpha f_{m-j} conj(f_{m-l})."""
-    _check_alpha(f.backend, alpha)
-    M = len(f) - 1
-    lo = max(j, l)
-    hi = min(M + j, M + l)  # largest m with both indices in range
-    if f.backend == "float":
-        if hi < lo:
-            return 0j
-        w = _weights_float(lo, hi + 1, alpha)
-        a = np.asarray(f.coeffs[lo - j: hi - j + 1])
-        b = np.asarray(f.coeffs[lo - l: hi - l + 1])
-        return complex(np.sum(w * a * np.conj(b)))
-    acc = ExactComplex(0)
-    for m in range(lo, hi + 1):
-        a, b = f.coeffs[m - j], f.coeffs[m - l]
-        if a.is_zero or b.is_zero:
-            continue
-        acc = acc + a * b.conjugate() * _weight_exact(m, alpha)
-    return acc
+    """<z^j f, z^l f>_alpha, the entry (j, l) of :func:`gram_matrix`."""
+    return inner(shift(f, j), shift(f, l), alpha)
 
 
 def weighted_inner(p: Series, q: Series, f: Series, alpha):
@@ -310,11 +279,7 @@ def gram_matrices(f: Series, n: int, alpha, H: int) -> tuple:
 
 
 def _f0_nonzero(f: Series) -> None:
-    f0 = f.at0()
-    if f.backend == "exact":
-        if f0.is_zero:
-            raise ZeroAtOriginError("f(0) = 0: optimal approximants need f(0) != 0")
-    elif abs(f0) <= DEGREE_EPSILON:
+    if f.at0() == 0:
         raise ZeroAtOriginError("f(0) = 0: optimal approximants need f(0) != 0")
 
 

@@ -224,11 +224,26 @@ class TestErrorsAndExitCodes:
         ("--backend", "exact", "--f", '{"coefficients":[0.1,1]}'),
         ("--backend", "exact", "--f", '{"coefficients":[{"re":0.1},1]}'),
         ("--backend", "exact", "--f", '{"coefficients":[1,{"re":1,"im":2.5}]}'),
+        ("--backend", "float", "--f", '{"family":["blaschke"],"params":{}}'),
     ])
     def test_mistyped_spec_is_validation_error(self, capsys, argv):
         code, _, err = run(capsys, "approximant", "--n", "1", *argv)
         assert code == 2
         assert json.loads(err)["error"] == "SpecValidationError"
+
+    @pytest.mark.parametrize("spec", [
+        '{"family":"eta_family","params":{"eta":0.45,"trunc":5}}',
+        '{"coefficients":[{"re":1,"img":2}]}',
+        '{"coefficients":[1,2],"params":{}}',
+    ], ids=["family-params", "complex-value", "top-level"])
+    def test_unknown_spec_key_is_validation_error(self, capsys, spec):
+        # a key the code does not read is refused, not ignored
+        code, out, err = run(capsys, "approximant", "--n", "1", "--backend", "float",
+                             "--f", spec)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "SpecValidationError"
+        assert payload["message"].startswith("unknown ")
 
     def test_exact_backend_rejects_fractional_alpha(self, capsys):
         code, _, err = run(capsys, "approximant", "--f", ONE_MINUS_Z,
@@ -313,17 +328,17 @@ def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):
     assert json.loads(err)["error"] == "ConditioningError"
 
 
-@pytest.mark.parametrize("argv, error", [
-    (("approximant", "--n", "1", "--f", '{"coefficients":[1e-12,5e-13]}'),
-     "ZeroAtOriginError"),
-    (("first-zero", "--f", OVERFLOWING_SPECS[1].values[0]), "ConditioningError"),
-], ids=["f0-zero", "gram-overflow"])
-def test_error_names_the_module_that_raised_it(capsys, argv, error):
-    # both are raised in spaces: the f(0) check and the float Gram check
+@pytest.mark.parametrize("argv, error, module", [
+    (("cyclicity", "--max-n", "60", "--f", '{"family":"one_minus_z_pow","params":{"N":8}}'),
+     "ConditioningError", "linsolve"),
+    (("first-zero", "--f", OVERFLOWING_SPECS[1].values[0]), "ConditioningError", "spaces"),
+], ids=["solve-conditioning", "gram-overflow"])
+def test_error_names_the_module_that_raised_it(capsys, argv, error, module):
+    # the condition check of the float solve and the float Gram check
     code, out, err = run(capsys, *argv, "--backend", "float")
     assert code == 3 and out == ""
     payload = json.loads(err)
-    assert payload["error"] == error and payload["module"] == "spaces"
+    assert payload["error"] == error and payload["module"] == module
 
 
 def test_rounding_noise_denominator_is_no_finite_zero(capsys):

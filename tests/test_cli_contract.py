@@ -154,7 +154,7 @@ def test_scaling_f_scales_exact_p_and_keeps_its_zeros(a, alpha, n, e):
     assert scaled["zeros"] == base["zeros"]
 
 
-@pytest.mark.parametrize("c", [1e12, 1e100])
+@pytest.mark.parametrize("c", [1e-100, 1e-12, 1e12, 1e100])
 @pytest.mark.parametrize("a, n", [([1.0, 0.5], 3), ([3.0, -1.0, 2.0], 3),
                                   ([1.0, 2.0, 2.0, 1.0], 3),
                                   ([1.0, 0.1], 6)])   # c_6 ~ 1e-6 |p|

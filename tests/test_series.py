@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from optapprox import (ExactComplex, Series, poly_eval, poly_mul, reflect,
                        shift)
 from optapprox.errors import BackendMismatchError, InvalidReflectionDegreeError
+from optapprox.exact import abs_sq
 
 from conftest import exact_gauss_solve
 
@@ -59,7 +60,7 @@ class TestPolyMul:
 
     def test_truncation_degree(self):
         out = poly_mul(Series.exact([1, 2, 3]), Series.exact([4, 5]))
-        assert out.truncation_degree == 3
+        assert len(out) == 4
 
     def test_backend_mismatch_raises(self):
         with pytest.raises(BackendMismatchError):
@@ -159,8 +160,8 @@ def test_reflect_involution_and_isometry(pairs, extra):
     twice = reflect(once, n)
     assert tuple(twice[k] for k in range(n + 1)) == \
         tuple(p[k] for k in range(n + 1))
-    moduli = sorted(p[k].abs_sq for k in range(n + 1))
-    assert moduli == sorted(c.abs_sq for c in once.coeffs)
+    moduli = sorted(abs_sq(p[k]) for k in range(n + 1))
+    assert moduli == sorted(map(abs_sq, once.coeffs))
 
 
 def test_reflect_reciprocates_roots(rng):

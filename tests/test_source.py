@@ -36,13 +36,14 @@ def test_cli_pretty_json_has_one_path():
 
 
 def test_no_module_calls_the_reference_inner_product():
-    # spaces.shifted_inner is the independent reference the tests check the
-    # Gram matrices against; no code path of the package may run through it
+    # spaces.shifted_inner and spaces.weighted_inner are the independent
+    # references the tests check the Gram matrices and the orthogonal bases
+    # against; no code path of the package may run through them
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name == "shifted_inner":
+                if name in ("shifted_inner", "weighted_inner"):
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
