@@ -229,6 +229,8 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
                     raise SpecValidationError(f"bad coefficient {c!r}")
         return FunctionSpec("explicit", {"coefficients": coeffs}, backend)
     family = obj.get("family")
+    if family == "explicit":
+        raise SpecValidationError('explicit coefficients are given as {"coefficients": [...]}')
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SpecValidationError("params must be a JSON object")

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BreakdownError, DegenerateError
+from .errors import BreakdownError, ConditioningError, DegenerateError
 from .exact import abs_sq
 from .series import Series
-from .spaces import _f0_nonzero, gram_matrix
+from .spaces import TINY, _f0_nonzero, gram_matrix
 
 
 def toeplitz_column(f: Series, n_max: int):
@@ -68,6 +68,10 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     autocorr = toeplitz_column(f, n)
     f0_sq = abs_sq(f.at0())
     r = tuple(x.conjugate() / f0_sq for x in autocorr)
+    if f.backend == "float" and not r[0].real * TINY < 1:
+        # c_{0,0} = 1 / r_0 would leave the normal float range
+        raise ConditioningError("||f||^2 / |f(0)|^2 is beyond the float range; "
+                                "use the exact backend")
 
     c = [1 / r[0]]
     history = [tuple(c)]

@@ -69,7 +69,8 @@ def _basis_from(f: Series, n: int, alpha, G, F) -> OrthonormalBasis:
     if isinstance(G, np.ndarray):
         # C = L^-1 has C G C^H = D; certify its off-diagonal part
         H = np.abs(_product(_product(inv, G), inv.conj().T))
-        H /= np.sqrt(np.outer(norms, norms))
+        s = np.sqrt(norms)
+        H /= np.outer(s, s)
         np.fill_diagonal(H, 0.0)
         defect = float(H.max())
         if not defect <= ORTHO_RESIDUAL_LIMIT:  # NaN fails too

@@ -123,9 +123,16 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
+#: The smallest normal float: a float |f(0)|^2, or a whole Gram matrix,
+#: below it has lost its relative precision.
+TINY = np.finfo(float).tiny
+
+
 def _gram_from(acc: np.ndarray) -> np.ndarray:
     """The Hermitian complex128 Gram matrix from the sums of _gram_float:
-    its n+1 lags (a vector) or the matrix itself."""
+    its n+1 lags (a vector) or the matrix itself.  A ConditioningError
+    when an entry overflows, or when every entry is below TINY without
+    all being 0 (a zero matrix is left to the solvers' pivot checks)."""
     if acc.ndim == 1:
         # Toeplitz, with first column conj(r_k) and r_0 real
         c = acc.astype(np.complex128)
@@ -136,6 +143,9 @@ def _gram_from(acc: np.ndarray) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ConditioningError("float Gram matrix overflows the float range; "
                                 "use the exact backend")
+    if 0 < M.diagonal().real.max() < TINY:
+        raise ConditioningError("float Gram matrix lies below the normal float "
+                                "range; rescale f")
     M.setflags(write=False)
     return M
 
@@ -279,8 +289,14 @@ def gram_matrices(f: Series, n: int, alpha, H: int) -> tuple:
 
 
 def _f0_nonzero(f: Series) -> None:
-    if f.at0() == 0:
+    """ZeroAtOriginError when f(0) = 0; in floats, a ConditioningError when
+    |f(0)|^2, which the solvers divide by or solve against, is below TINY."""
+    f0 = f.at0()
+    if f0 == 0:
         raise ZeroAtOriginError("f(0) = 0: optimal approximants need f(0) != 0")
+    if f.backend == "float" and not abs(f0) ** 2 >= TINY:
+        raise ConditioningError(f"|f(0)| = {abs(f0):.3g}: |f(0)|^2 is below the "
+                                "normal float range; rescale f or use the exact backend")
 
 
 def gram(f: Series, n: int, alpha) -> GramSystem:

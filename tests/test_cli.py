@@ -225,6 +225,9 @@ class TestErrorsAndExitCodes:
         ("--backend", "exact", "--f", '{"coefficients":[{"re":0.1},1]}'),
         ("--backend", "exact", "--f", '{"coefficients":[1,{"re":1,"im":2.5}]}'),
         ("--backend", "float", "--f", '{"family":["blaschke"],"params":{}}'),
+        ("--backend", "exact", "--f", '{"family":"explicit","params":{"coefficients":[0.5,1]}}'),
+        ("--backend", "float", "--f",
+         '{"family":"explicit","params":{"coefficients":[{"re":1},1e400]}}'),
     ])
     def test_mistyped_spec_is_validation_error(self, capsys, argv):
         code, _, err = run(capsys, "approximant", "--n", "1", *argv)

@@ -171,3 +171,59 @@ def test_scaling_f_scales_float_p_and_keeps_its_zeros(a, n, c, alpha):
     for z in want:
         i = min(range(len(got)), key=lambda i: abs(got[i] - z))
         assert abs(got.pop(i) - z) <= 1e-9 * abs(z)
+
+
+@pytest.mark.parametrize("command", [("approximant", "--n", "1"), ("levinson", "--n", "1"),
+                                     ("cyclicity", "--max-n", "3")], ids=lambda c: c[0])
+@pytest.mark.parametrize("coeffs", [[1e-155, 1.0], [1e-170, 1.0], [1e-160, 0.5e-160]],
+                         ids=["f0-1e-155", "f0-1e-170", "c-1e-160"])
+def test_float_f0_whose_square_underflows_is_refused(command, coeffs):
+    # |f(0)|^2 below the smallest normal float has lost its precision (or
+    # is 0); the solvers divide by it or solve against it
+    code, out, err = run(*command, "--backend", "float",
+                         "--f", json.dumps({"coefficients": coeffs}))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ConditioningError"
+
+
+@pytest.mark.parametrize("command", [("first-zero",), ("orthopoly", "--n", "2"),
+                                     ("kernel", "--n", "2", "--z=0.1,0", "--w=0.2,0")],
+                         ids=lambda c: c[0])
+def test_float_gram_below_the_normal_range_is_refused(command):
+    # commands that do not read f(0) on its own: for f scaled by 1e-160
+    # every Gram entry is subnormal, with a few significant bits at most
+    code, out, err = run(*command, "--backend", "float",
+                         "--f", json.dumps({"coefficients": [1e-160, 5e-161, 2.5e-161]}))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ConditioningError", "module": "spaces",
+                               "message": "float Gram matrix lies below the normal "
+                                          "float range; rescale f"}
+
+
+def test_levinson_refuses_what_its_normalization_overflows():
+    # f = 1e-150 + 1e10 z: ||f||^2 / |f(0)|^2 = 1e320 is beyond the float
+    # range, so Levinson, which runs on f / f(0), refuses; the Gram solve
+    # does not divide by |f(0)|^2 and agrees with the exact backend
+    spec = ("--f", json.dumps({"coefficients": [1e-150, 1e10]}))
+    code, out, err = run("levinson", "--n", "1", "--backend", "float", *spec)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ConditioningError", "module": "levinson",
+                               "message": "||f||^2 / |f(0)|^2 is beyond the float "
+                                          "range; use the exact backend"}
+    got = approximant_output([1e-150, 1e10], "--n", "1", "--backend", "float")
+    want = approximant_output(["1e-150", "1e10"], "--n", "1")
+    assert got["p0"] == pytest.approx(float(Fraction(want["p0"])), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e100])
+def test_scaling_f_keeps_its_float_monic_orthogonal_polynomials(c):
+    # the Gram matrix of c f is |c|^2 times that of f: the monic psi_k are
+    # the same, their squared norms scale by |c|^2
+    a = [3.0, -1.0, 2.0]
+    base, scaled = (json.loads(run("orthopoly", "--n", "3", "--backend", "float", "--f",
+                                   json.dumps({"coefficients": b}))[1])
+                    for b in (a, [c * x for x in a]))
+    np.testing.assert_allclose(scaled["norms_sq"], np.array(base["norms_sq"]) * c * c,
+                               rtol=1e-12)
+    for p, q in zip(base["monic"], scaled["monic"]):
+        np.testing.assert_allclose(q, p, rtol=1e-12, atol=1e-15)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
                        gram_matrix, inner, norm_sq, realize, shift,
                        shifted_inner, weighted_inner)
-from optapprox.errors import BackendMismatchError, ZeroAtOriginError
+from optapprox.errors import (BackendMismatchError, ConditioningError,
+                              ZeroAtOriginError)
 from optapprox.spaces import _GRAM_BLOCK, _product, gram_matrices
 
 from conftest import random_poly
@@ -113,6 +114,13 @@ class TestGram:
                   Series.from_complex([-0.0, 1e-12])):
             with pytest.raises(ZeroAtOriginError):
                 gram(f, 1, 0)
+
+    def test_float_squares_below_the_normal_range_rejected(self):
+        # |f(0)|^2 = 1e-310, and a Gram matrix of entries near 1e-320
+        with pytest.raises(ConditioningError, match=r"\|f\(0\)\|\^2 is below"):
+            gram(Series.from_complex([1e-155, 1.0]), 1, 0)
+        with pytest.raises(ConditioningError, match="Gram matrix lies below"):
+            gram_matrix(Series.from_complex([1e-160, 5e-161]), 1, -1)
 
     def test_tail_bound_positive_for_truncated_series(self):
         coeffs = 0.9 ** np.arange(200)
