@@ -30,11 +30,11 @@ f = realize(FunctionSpec("eta_family", {"eta": 1, "truncation": 10 ** 6}, "float
 v, tail = first_zero_with_tail(f, -2)
 target = (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)
 print(f"  first zero = {complex(v).real:.8f}  "
-      f"(limit {target:.8f}, tail estimate {tail:.1e})")
+      f"(limit {target:.8f}, tail bound {tail:.1e})")
 
 print("\nf=(1+z)/(1-z)^0.8, alpha=-1 (Bergman), doubling truncations:")
 for M in (10 ** 5, 10 ** 6):
     f = realize(FunctionSpec("eta_family", {"eta": 0.8, "truncation": M}, "float"))
     v, tail = first_zero_with_tail(f, -1)
     print(f"  M={M:>8}: first zero = {complex(v).real:.6f}  "
-          f"(limit 119/121 = {119 / 121:.6f}, tail {tail:.1e})")
+          f"(limit 119/121 = {119 / 121:.6f}, tail bound {tail:.1e})")

@@ -12,8 +12,8 @@ an exact complex-rational backend or a float backend.
 from .exact import ExactComplex, format_rational
 from .series import (DEGREE_EPSILON, Series, poly_add, poly_eval, poly_mul,
                      poly_sub, reflect, scale, shift)
-from .spaces import (GramSystem, gram, gram_matrices, gram_matrix, inner,
-                     norm_sq, shifted_inner, weighted_inner)
+from .spaces import (gram_matrix, inner, norm_sq, shifted_inner,
+                     truncation_error, weighted_inner)
 from .approximant import (ApproximantResult, EqualQuantities, distance,
                           equal_quantities, optimal, optimal_sweep,
                           pn0_via_determinants)

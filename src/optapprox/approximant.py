@@ -16,7 +16,7 @@ import numpy as np
 from . import linsolve
 from .exact import abs_sq
 from .series import Series, poly_mul, poly_sub, scale
-from .spaces import gram, norm_sq
+from .spaces import _f0_nonzero, gram_matrix, norm_sq, truncation_error
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,19 @@ def _approximants(f: Series, degrees, alpha) -> list:
     of the Gram matrix G at the largest degree.  Minimizing ||p f - 1||^2
     gives conj(G) c = conj(f(0)) e_0, so c = conj(y) for G y = f(0) e_0,
     and the degree-n system is the leading (n+1)-block of G (np.conj
-    conjugates an exact y one by one)."""
-    system = gram(f, max(degrees), alpha)
+    conjugates an exact y one by one).  The tails are read after G is
+    built, so that an overflowing G is refused as such."""
+    _f0_nonzero(f)
+    G = gram_matrix(f, max(degrees), alpha)
+    tails = [truncation_error(f, n, alpha) for n in degrees]
     f0 = f.at0()
-    y = np.conj(linsolve.solve(linsolve.factor(system.matrix, f0),
-                               [n + 1 for n in degrees]))
+    y = np.conj(linsolve.solve(linsolve.factor(G, f0), [n + 1 for n in degrees]))
     out, start = [], 0
-    for n in degrees:
+    for n, tail in zip(degrees, tails):
         p = f.like(y[start: start + n + 1])
         start += n + 1
         p0 = p.at0()
-        out.append(ApproximantResult(n, p, p0, 1 - (p0 * f0).real, system.tail_error_bound))
+        out.append(ApproximantResult(n, p, p0, 1 - (p0 * f0).real, tail))
     return out
 
 
@@ -67,11 +69,13 @@ def distance(f: Series, n: int, alpha):
 def pn0_via_determinants(f: Series, n: int, alpha):
     """p_n(0) = conj(f(0)) det(M-hat) / det(M), where M-hat is the lower
     right n x n minor of the Gram matrix."""
-    M = gram(f, n, alpha).matrix
+    _f0_nonzero(f)
+    M = gram_matrix(f, n, alpha)
     if f.backend == "exact":
-        rows = M.to_exact()
-        minor = [row[1:] for row in rows[1:]]
-        return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(rows)
+        minor = linsolve.IntegerMatrix(
+            tuple({j - 1: x for j, x in row.items() if j} for row in M.rows[1:]),
+            M.denominator, M.gaussian)
+        return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(M)
     return complex(np.conj(f.at0()) * np.linalg.det(M[1:, 1:]) / np.linalg.det(M))
 
 
@@ -103,7 +107,8 @@ def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
     from .kernels import kernel_eval_from_basis
     from .orthopoly import _basis_from
 
-    G = gram(f, n, alpha).matrix
+    _f0_nonzero(f)
+    G = gram_matrix(f, n, alpha)
     F = linsolve.factor(G)
     f0 = f.at0()
     f0_sq = abs_sq(f0)

@@ -167,10 +167,55 @@ def _eta_blocks(eta: float, length: int, size: int):
         yield np.add(g[1: m + 1], g[:m], out=out[:m])
 
 
+def _exp(x: float) -> float:
+    return math.exp(x) if x < 709 else math.inf   # an upper bound stays one
+
+
+def _blaschke_tail_sq(lam: complex, K: int, alpha) -> float:
+    """A bound on sum_{j>K} (j+1)^alpha |b_j|^2, |b_j|^2 = (1-r)^2 r^(j-1)
+    for r = |lambda|^2: the term j = K+1 over 1 - q, for q = r max(1,
+    ((K+3)/(K+2))^alpha) the largest ratio of consecutive terms past it;
+    inf when q >= 1 or K < 0."""
+    if K < 0:
+        return math.inf
+    alpha, log_r = float(alpha), 2 * math.log(abs(lam))   # r itself may underflow
+    log_q = log_r + max(0.0, alpha * math.log1p(1 / (K + 2)))
+    if log_q >= 0:
+        return math.inf
+    return _exp(alpha * math.log(K + 2) + 2 * math.log1p(-abs(lam) ** 2) + K * log_r
+                - math.log(-math.expm1(log_q)))
+
+
+def _eta_tail_sq(eta: float, K: int, alpha) -> float:
+    """A bound on sum_{j>K} (j+1)^alpha a_j^2, a_j = g_j + g_{j-1}, for
+    (1+z)/(1-z)^eta, which lies in D_alpha only when alpha + 2 eta < 1;
+    inf when K < 1.  The anchor g_K = Gamma(K+eta) / (Gamma(eta) K!) <
+    K^(eta-1) / Gamma(eta) is Gautschi's inequality for eta <= 1, and
+    (K+eta)^(eta-1) replaces K^(eta-1) above (psi(t) < log t).  The ratio
+    g_j / g_K = prod_{i=K+1}^{j} (1 + (eta-1)/i) <= ((j+c) / (K+c))^(eta-1),
+    c = 1 for eta <= 1 and 0 above, compares sum 1/i with its integral.
+    So (j+1)^alpha a_j^2 <= C j^p, p = alpha + 2 eta - 2 < -1, for j > K,
+    and the power sum is below its integral K^(p+1) / (-p-1); all of it in
+    logarithms, where no Gamma overflows."""
+    alpha = float(alpha)
+    if not alpha + 2 * eta < 1:
+        raise SpecValidationError(
+            f"eta_family with eta = {eta:.6g} is not in D_alpha at alpha = {alpha:.6g}: "
+            "its tail needs alpha + 2 eta < 1")
+    if K < 1:
+        return math.inf
+    p = alpha + 2 * eta - 2
+    return _exp(math.log(4) - 2 * math.lgamma(eta)
+                + abs(2 * eta - 2) * math.log1p(max(1.0, eta) / K)
+                + max(0.0, alpha * math.log1p(1 / (K + 1)))
+                + (p + 1) * math.log(K) - math.log(-p - 1))
+
+
 def realize(spec: FunctionSpec) -> Series:
     """Materialize a FunctionSpec as a Series in its backend.  The
     truncated families (Blaschke, eta) are float :class:`BlockSeries`
-    that generate their coefficients block by block."""
+    that generate their coefficients block by block and bound their own
+    tails."""
     p = spec.params
     if spec.family in ("one_minus_z_pow", "one_plus_z_pow"):
         N = p["N"]
@@ -181,10 +226,13 @@ def realize(spec: FunctionSpec) -> Series:
         return Series.from_complex(coeffs)
     if spec.family == "blaschke":
         M = int(p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION))
-        return BlockSeries(M + 1, partial(_blaschke_blocks, complex(p["lambda"]), M + 1))
+        lam = complex(p["lambda"])
+        return BlockSeries(M + 1, partial(_blaschke_blocks, lam, M + 1),
+                           partial(_blaschke_tail_sq, lam))
     if spec.family == "eta_family":
         M = int(p.get("truncation", ETA_DEFAULT_TRUNCATION))
-        return BlockSeries(M + 1, partial(_eta_blocks, float(p["eta"]), M + 1))
+        eta = float(p["eta"])
+        return BlockSeries(M + 1, partial(_eta_blocks, eta, M + 1), partial(_eta_tail_sq, eta))
     coeffs = p["coefficients"]
     if spec.backend == "exact":
         s = Series.exact(coeffs)

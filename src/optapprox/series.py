@@ -8,7 +8,8 @@ truncated analytic germ.  Two backends coexist:
 
 A long float series may instead be a :class:`BlockSeries`, whose
 coefficients a rule yields block by block (the truncated families of
-``families.py``); passes over :meth:`Series.blocks` never hold it whole.
+``families.py``); passes over :meth:`Series.blocks` never hold it whole,
+and :meth:`Series.tail_sq` bounds the infinite tail it leaves out.
 
 All values are immutable after construction and every operation here is
 pure, so Series may be shared freely across threads.
@@ -39,7 +40,6 @@ DEGREE_SCALE = 1e-6
 @dataclass(frozen=True, eq=False)
 class Series:
     coeffs: object  # tuple[ExactComplex] | np.ndarray
-    is_exact_polynomial: bool = True
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -48,7 +48,7 @@ class Series:
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def exact(values, is_exact_polynomial: bool = True) -> "Series":
+    def exact(values) -> "Series":
         """Build an exact-backend series from ints, Fractions, ``p/q``
         strings, (re, im) pairs, or ExactComplex values."""
         coeffs = []
@@ -57,13 +57,13 @@ class Series:
                 coeffs.append(ExactComplex(v[0], v[1]))
             else:
                 coeffs.append(ExactComplex.coerce(v))
-        return Series(tuple(coeffs), is_exact_polynomial)
+        return Series(tuple(coeffs))
 
     @staticmethod
-    def from_complex(values, is_exact_polynomial: bool = True) -> "Series":
+    def from_complex(values) -> "Series":
         arr = np.asarray(values, dtype=np.complex128)
         arr.setflags(write=False)
-        return Series(arr, is_exact_polynomial)
+        return Series(arr)
 
     def scalar(self, x):
         """``x`` as a scalar of this series' backend: an ExactComplex (a
@@ -132,8 +132,13 @@ class Series:
     def to_float(self) -> "Series":
         if self.backend == "float":
             return self
-        return Series.from_complex([complex(c) for c in self.coeffs],
-                                   self.is_exact_polynomial)
+        return Series.from_complex([complex(c) for c in self.coeffs])
+
+    def tail_sq(self, K: int, alpha) -> float:
+        """The tail rule of the function f this series stands for: a bound
+        on sum_{j>K} (j+1)^alpha |f_j|^2 when f has coefficients past the
+        stored ones; 0 for a polynomial, which has none."""
+        return 0.0
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r}, backend={self.backend})"
@@ -145,14 +150,15 @@ _READ_BLOCK = 1 << 14
 
 class BlockSeries(Series):
     """A float series of ``length`` coefficients that ``rule(size)`` yields
-    in blocks, with the dtype and block sizes of :meth:`Series.blocks`.
+    in blocks, with the dtype and block sizes of :meth:`Series.blocks`,
+    and whose tail ``tail(K, alpha)`` bounds as :meth:`Series.tail_sq`.
     ``coeffs`` is built, as complex128, only when some code reads it;
     ``len``, ``backend``, ``at0`` and ``is_zero`` never build it."""
 
-    def __init__(self, length: int, rule):
-        object.__setattr__(self, "is_exact_polynomial", False)
+    def __init__(self, length: int, rule, tail):
         object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "_tail", tail)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -174,6 +180,9 @@ class BlockSeries(Series):
 
     def at0(self):
         return np.complex128(next(self.blocks(1))[0])
+
+    def tail_sq(self, K: int, alpha) -> float:
+        return self._tail(K, alpha)
 
     @property
     def is_zero(self) -> bool:
@@ -203,30 +212,27 @@ def poly_eval(p: Series, z):
 
 def poly_mul(p: Series, q: Series) -> Series:
     """Coefficient convolution; exact in the exact backend."""
-    backend = _check_same_backend(p, q)
-    exact_poly = p.is_exact_polynomial and q.is_exact_polynomial
-    if backend == "float":
-        return Series.from_complex(np.convolve(p.coeffs, q.coeffs), exact_poly)
+    if _check_same_backend(p, q) == "float":
+        return Series.from_complex(np.convolve(p.coeffs, q.coeffs))
     out = [ExactComplex(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p.coeffs):
         if a.is_zero:
             continue
         for j, b in enumerate(q.coeffs):
             out[i + j] = out[i + j] + a * b
-    return Series(tuple(out), exact_poly)
+    return Series(tuple(out))
 
 
 def poly_add(p: Series, q: Series) -> Series:
     """Coefficientwise sum; the shorter operand is zero-padded."""
     backend = _check_same_backend(p, q)
     n = max(len(p), len(q))
-    exact_poly = p.is_exact_polynomial and q.is_exact_polynomial
     if backend == "float":
         out = np.zeros(n, dtype=np.complex128)
         out[: len(p)] += p.coeffs
         out[: len(q)] += q.coeffs
-        return Series.from_complex(out, exact_poly)
-    return Series(tuple(p[k] + q[k] for k in range(n)), exact_poly)
+        return Series.from_complex(out)
+    return Series(tuple(p[k] + q[k] for k in range(n)))
 
 
 def poly_sub(p: Series, q: Series) -> Series:
@@ -235,10 +241,9 @@ def poly_sub(p: Series, q: Series) -> Series:
 
 def scale(p: Series, c) -> Series:
     if p.backend == "float":
-        return Series.from_complex(np.asarray(p.coeffs) * complex(c),
-                                   p.is_exact_polynomial)
+        return Series.from_complex(np.asarray(p.coeffs) * complex(c))
     c = ExactComplex.coerce(c)
-    return Series(tuple(a * c for a in p.coeffs), p.is_exact_polynomial)
+    return Series(tuple(a * c for a in p.coeffs))
 
 
 def shift(p: Series, k: int) -> Series:
@@ -249,9 +254,8 @@ def shift(p: Series, k: int) -> Series:
         return p
     if p.backend == "float":
         return Series.from_complex(
-            np.concatenate([np.zeros(k, dtype=np.complex128), p.coeffs]),
-            p.is_exact_polynomial)
-    return Series((ExactComplex(0),) * k + p.coeffs, p.is_exact_polynomial)
+            np.concatenate([np.zeros(k, dtype=np.complex128), p.coeffs]))
+    return Series((ExactComplex(0),) * k + p.coeffs)
 
 
 def reflect(p: Series, n: int) -> Series:
@@ -265,6 +269,5 @@ def reflect(p: Series, n: int) -> Series:
         padded = np.zeros(n + 1, dtype=np.complex128)
         m = min(len(p), n + 1)
         padded[:m] = p.coeffs[:m]
-        return Series.from_complex(np.conj(padded[::-1]), p.is_exact_polynomial)
-    return Series(tuple(p[n - j].conjugate() for j in range(n + 1)),
-                  p.is_exact_polynomial)
+        return Series.from_complex(np.conj(padded[::-1]))
+    return Series(tuple(p[n - j].conjugate() for j in range(n + 1)))

@@ -11,10 +11,10 @@ Levinson's alpha = 0 column included.  The float one is one blocked
 matrix product F^H W F over the coefficients, or at alpha = 0 the n+1
 lags of its Toeplitz column, summed in one pass over the blocks of the
 series: a truncated family is generated inside the pass and never held
-whole, and the same pass gives the matrix of the half truncation that
-:func:`gram` and ``zeros.first_zero_with_tail`` read their tail
-estimates from (see :func:`gram_matrices`).  The exact one is the band
-of its integer numerators over one common denominator.
+whole.  The exact one is the band of its integer numerators over one
+common denominator.  :func:`truncation_error` bounds how far the matrix
+of a truncated family lies from that of the function, by the family's
+own tail rule ``Series.tail_sq``.
 
 :func:`inner` is the one reference inner product, with one float and one
 exact body; :func:`norm_sq`, :func:`shifted_inner` and
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -83,15 +82,6 @@ def weighted_inner(p: Series, q: Series, f: Series, alpha):
     return inner(poly_mul(p, f), poly_mul(q, f), alpha)
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    """Gram matrix G_kl = <z^k f, z^l f>_alpha of the approximant problem,
-    with the estimated truncation error of its entries."""
-
-    matrix: object          # IntegerMatrix (exact) or np.ndarray (float)
-    tail_error_bound: float  # 0 for exact polynomials
-
-
 #: Rows of F per block of the float Gram product: the temporaries of one
 #: block hold _GRAM_BLOCK x (n+1) entries, whatever the series length.
 _GRAM_BLOCK = 1 << 14
@@ -128,42 +118,12 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.
 TINY = np.finfo(float).tiny
 
 
-def _gram_from(acc: np.ndarray) -> np.ndarray:
-    """The Hermitian complex128 Gram matrix from the sums of _gram_float:
-    its n+1 lags (a vector) or the matrix itself.  A ConditioningError
-    when an entry overflows, or when every entry is below TINY without
-    all being 0 (a zero matrix is left to the solvers' pivot checks)."""
-    if acc.ndim == 1:
-        # Toeplitz, with first column conj(r_k) and r_0 real
-        c = acc.astype(np.complex128)
-        c[0] = c[0].real
-        M = toeplitz(c, c.conj())
-    else:
-        M = (acc + acc.conj().T).astype(np.complex128) / 2
-    if not np.isfinite(M).all():
-        raise ConditioningError("float Gram matrix overflows the float range; "
-                                "use the exact backend")
-    if 0 < M.diagonal().real.max() < TINY:
-        raise ConditioningError("float Gram matrix lies below the normal float "
-                                "range; rescale f")
-    M.setflags(write=False)
-    return M
-
-
-@np.errstate(over="ignore", invalid="ignore")  # reported by _gram_from
-def _gram_float(f: Series, n: int, alpha, H: int | None = None) -> tuple:
-    """The float Gram matrices of f and of f truncated at degree H (f
-    itself when H is None or not below its stored degree), from one pass
-    over the blocks of f.  Row m of F is (f_m, f_{m-1}, ..., f_{m-n}),
-    zero outside the stored range, so that
-    (F^T W conj(F))[k, l] = sum_m (m+1)^alpha f_{m-k} conj(f_{m-l});
-    the truncated matrix shares the rows m <= H and adds the n rows past
-    H, where the truncated f is 0.  At alpha = 0 the matrix is Toeplitz
-    and the pass sums only its first column G_k0 = conj(r_k), from the
-    lags r_k = sum_m f_m conj(f_{m-k}) (of the truncation: the sums to
-    m = H)."""
-    if H is not None and H >= len(f) - 1:
-        H = None
+@np.errstate(over="ignore", invalid="ignore")  # reported below
+def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
+    """The float :func:`gram_matrix`, from one pass over the blocks of f.
+    A ConditioningError when an entry overflows, or when every entry is
+    below TINY without all being 0 (a zero matrix is left to the solvers'
+    pivot checks)."""
     alpha = float(alpha)
     lags = alpha == 0
     blocks = f.blocks(_GRAM_BLOCK)
@@ -180,43 +140,43 @@ def _gram_float(f: Series, n: int, alpha, H: int | None = None) -> tuple:
         base = np.arange(1, size + 1, dtype=np.float64)
         w = np.empty(size)
         A, C = np.empty((n + 1, size), dtype), np.empty((n + 1, size), dtype)
-
-    def add_rows(acc, seg, start):
-        # rows m = start..start+L-1, from seg = f_{start-n} .. f_{start+L-1};
-        # F's rows are held transposed, so that every elementwise pass runs
-        # along the series: Ft[k] = (f_{start-k}, ..., f_{start+L-1-k})
-        L = len(seg) - n
-        Ft = sliding_window_view(seg, L)[::-1]
-        if lags:
-            # conj(r_k) += sum_m conj(f_m) f_{m-k}, by einsum: as a BLAS
-            # matrix-vector product it goes to worker threads, and pieces
-            # of 31 x 2114 took up to 70 ms there, against 1 ms for the
-            # whole block by einsum (2 vCPUs)
-            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n:], out=conj[:L]))
-        else:
-            np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
-            _product(np.multiply(Ft, w[:L], out=A[:, :L]),
-                     np.conjugate(Ft, out=C[:, :L]).T, acc)
-
     acc = np.zeros(n + 1 if lags else (n + 1, n + 1), dtype=dtype)
-    acc_h, L = acc, 0
+    L = 0
     for start in range(0, rows, _GRAM_BLOCK):
-        # f_{start-n} .. f_{start+L-1}, zero outside the stored range
+        # rows m = start..start+L-1, from f_{start-n} .. f_{start+L-1}
         seg[:n] = seg[L: L + n]
         L = min(_GRAM_BLOCK, rows - start)
         block = next(blocks, seg[:0])
         seg[n: n + len(block)] = block
         seg[n + len(block): n + L] = 0
-        if H is not None and start <= H < start + L:
-            acc_h = acc.copy()
-            add_rows(acc_h, seg[: H + 1 - start + n], start)
-            if n and not lags:
-                past = np.zeros(2 * n, dtype=dtype)  # f_{H+1-n} .. f_H, then zeros
-                past[:n] = seg[H + 1 - start: H + 1 - start + n]
-                add_rows(acc_h, past, H + 1)
-        add_rows(acc, seg[: n + L], start)
-    G = _gram_from(acc)
-    return G, G if acc_h is acc else _gram_from(acc_h)
+        # F's rows are held transposed, so that every elementwise pass runs
+        # along the series: Ft[k] = (f_{start-k}, ..., f_{start+L-1-k})
+        Ft = sliding_window_view(seg[: n + L], L)[::-1]
+        if lags:
+            # conj(r_k) += sum_m conj(f_m) f_{m-k}, by einsum: as a BLAS
+            # matrix-vector product it goes to worker threads, and pieces
+            # of 31 x 2114 took up to 70 ms there, against 1 ms for the
+            # whole block by einsum (2 vCPUs)
+            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n: n + L], out=conj[:L]))
+        else:
+            np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
+            _product(np.multiply(Ft, w[:L], out=A[:, :L]),
+                     np.conjugate(Ft, out=C[:, :L]).T, acc)
+    if lags:
+        # Toeplitz, with first column conj(r_k) and r_0 real
+        c = acc.astype(np.complex128)
+        c[0] = c[0].real
+        M = toeplitz(c, c.conj())
+    else:
+        M = (acc + acc.conj().T).astype(np.complex128) / 2
+    if not np.isfinite(M).all():
+        raise ConditioningError("float Gram matrix overflows the float range; "
+                                "use the exact backend")
+    if 0 < M.diagonal().real.max() < TINY:
+        raise ConditioningError("float Gram matrix lies below the normal float "
+                                "range; rescale f")
+    M.setflags(write=False)
+    return M
 
 
 def gram_matrix(f: Series, n: int, alpha):
@@ -248,7 +208,7 @@ def gram_matrix(f: Series, n: int, alpha):
     """
     _check_alpha(f.backend, alpha)
     if f.backend == "float":
-        return _gram_float(f, n, alpha)[0]
+        return _gram_float(f, n, alpha)
     alpha = int(alpha)
     coeffs = f.coeffs[: f.degree + 1]
     d = len(coeffs) - 1
@@ -277,17 +237,6 @@ def gram_matrix(f: Series, n: int, alpha):
     return IntegerMatrix(rows, c * c * W, gaussian)
 
 
-def gram_matrices(f: Series, n: int, alpha, H: int) -> tuple:
-    """The float Gram matrices of :func:`gram_matrix` for f and for f
-    truncated at degree H (its coefficients 0..H), from one pass over f:
-    the two share the rows m <= H of F, and the truncated one adds the n
-    rows past H (at alpha = 0, its lags are the partial sums to m = H)."""
-    _check_alpha(f.backend, alpha)
-    if f.backend != "float":
-        raise BackendMismatchError("gram_matrices() needs a float series")
-    return _gram_float(f, n, alpha, H)
-
-
 def _f0_nonzero(f: Series) -> None:
     """ZeroAtOriginError when f(0) = 0; in floats, a ConditioningError when
     |f(0)|^2, which the solvers divide by or solve against, is below TINY."""
@@ -299,17 +248,13 @@ def _f0_nonzero(f: Series) -> None:
                                 "normal float range; rescale f or use the exact backend")
 
 
-def gram(f: Series, n: int, alpha) -> GramSystem:
-    """Assemble the Gram matrix of the degree-n approximant problem.
-
-    For a truncated infinite family, ``tail_error_bound`` is the largest
-    change of an entry between f and f truncated at half its stored
-    degree (at least n + 1), both from the one pass of
-    :func:`gram_matrices`.  Despite its name this is an estimate of the
-    truncation error, not a bound: it can fall below the true error.
-    """
-    _f0_nonzero(f)
-    if f.is_exact_polynomial:
-        return GramSystem(gram_matrix(f, n, alpha), 0.0)
-    M, Mh = gram_matrices(f, n, alpha, max(n + 1, (len(f) - 1) // 2))
-    return GramSystem(M, float(np.max(np.abs(M - Mh))))
+def truncation_error(f: Series, n: int, alpha) -> float:
+    """An upper bound on |G_kl - G'_kl|, k, l <= n, for G the Gram matrix
+    of the function f stands for and G' that of its stored f_0..f_M.  For
+    k <= l they differ in the terms m > M + k of sum_m (m+1)^alpha
+    f_{m-k} conj(f_{m-l}); by Cauchy-Schwarz, and as (j+k+1)^alpha <=
+    max(1, (k+1)^alpha) (j+1)^alpha, their sum is at most
+    max(1, (n+1)^alpha) f.tail_sq(M - n, alpha): 0 for a polynomial."""
+    tail = f.tail_sq(len(f) - 1 - n, alpha)
+    log_w = max(0.0, float(alpha) * math.log(n + 1))   # max(1, (n+1)^alpha)
+    return tail and (tail * math.exp(log_w) if log_w < 709 else math.inf)

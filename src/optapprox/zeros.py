@@ -17,7 +17,7 @@ import numpy as np
 from .approximant import optimal
 from .errors import DegenerateError
 from .series import Series, poly_mul
-from .spaces import gram_matrices, gram_matrix
+from .spaces import gram_matrix, truncation_error
 
 #: Distinguished result of first_zero when <f, zf>_alpha = 0: the degree-1
 #: coefficient of p_1 vanishes and the zero escapes to infinity.
@@ -255,16 +255,14 @@ def first_zero(f: Series, alpha):
     and its zero is interpreted as infinity); in the float backend, when
     it is rounding noise next to ||f|| ||z f||.
     """
-    G = gram_matrix(f, 1, alpha)
-    return _first_zero_of(G if f.backend == "float" else G.to_exact(), f.backend)
+    return _first_zero_of(gram_matrix(f, 1, alpha), f.backend)
 
 
 def _first_zero_of(G, backend: str):
-    num, den = G[1][1], G[0][1]   # ||z f||^2, <f, z f>
     if backend == "exact":
-        if den.is_zero:
-            return NO_FINITE_ZERO
-        return num / den
+        G = G.to_exact()
+        return NO_FINITE_ZERO if G[0][1].is_zero else G[1][1] / G[0][1]
+    num, den = G[1][1], G[0][1]   # ||z f||^2, <f, z f>
     # within 4 rounding units of its Cauchy-Schwarz size ||f|| ||z f||, den
     # is noise: an exact 0 (Blaschke factor, alpha = 0) rounds to ~1e-17;
     # the two norms are taken apart, since ||f||^2 ||z f||^2 can overflow
@@ -274,26 +272,23 @@ def _first_zero_of(G, backend: str):
     return complex(num / den)
 
 
-#: Factor on the change of the first zero between f and its half
-#: truncation that first_zero_with_tail reports as its tail estimate.
-TAIL_SAFETY = 4.0
-
-
 def first_zero_with_tail(f: Series, alpha):
-    """first_zero together with a doubling-based tail estimate.
+    """first_zero together with a bound on its distance to the first zero
+    of the function f stands for: 0 for a polynomial.
 
-    For a truncated series the value is also computed for f truncated at
-    half its stored degree, from the same pass over f
-    (:func:`~optapprox.spaces.gram_matrices`); TAIL_SAFETY times the
-    difference is reported as the error estimate (the coefficient
-    families in use decay geometrically under degree doubling, so the
-    remaining tail is a bounded multiple of one step).
+    With every Gram entry within d = spaces.truncation_error(f, 1, alpha)
+    of that function's, z = G_11 / G_01 moves by at most
+    d (1 + |z|) / (|G_01| - d); the bound is inf when |G_01| <= d or z is
+    NO_FINITE_ZERO.
     """
-    if f.is_exact_polynomial:
-        return first_zero(f, alpha), 0.0
-    G, G_half = gram_matrices(f, 1, alpha, (len(f) - 1) // 2)
-    v_full, v_half = _first_zero_of(G, "float"), _first_zero_of(G_half, "float")
-    return v_full, TAIL_SAFETY * abs(complex(v_full) - complex(v_half))
+    G = gram_matrix(f, 1, alpha)
+    value = _first_zero_of(G, f.backend)
+    d = truncation_error(f, 1, alpha)
+    if not d:
+        return value, 0.0
+    den = float(abs(G[0][1])) - d
+    return value, (d * (1 + abs(value)) / den if den > 0 and value != NO_FINITE_ZERO
+                   else math.inf)
 
 
 @dataclass(frozen=True)

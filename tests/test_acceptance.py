@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from optapprox import (ExactComplex, FunctionSpec, Series, equal_quantities,
-                       first_zero_with_tail, gram, hardy_power_closed_form,
+                       first_zero_with_tail, gram_matrix, hardy_power_closed_form,
                        cesaro_closed_form, inner, norm_sq, optimal,
                        optimal_sweep, levinson_solve, outer_criterion_partial,
                        poly_add, poly_mul, poly_roots, realize, reflect,
@@ -150,9 +150,8 @@ def test_acceptance_5_levinson_vs_direct():
         c[0] = rng.uniform(0.3, 1.0) + 0j
         f = Series.from_complex(c)
         state = levinson_solve(f, 20)
-        system = gram(f, 20, 0)
         # normal equations: M^T c = conj(f(0)) e_0 (M Hermitian, so M^T = conj(M))
-        M = np.conj(np.asarray(system.matrix))
+        M = np.conj(gram_matrix(f, 20, 0))
         rhs_full = np.zeros(21, dtype=np.complex128)
         rhs_full[0] = np.conj(f.at0())
         for n in range(21):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optapprox import (ExactComplex, Series, distance, equal_quantities,
-                       gram, norm_sq, optimal, optimal_sweep, poly_mul,
+                       gram_matrix, norm_sq, optimal, optimal_sweep, poly_mul,
                        pn0_via_determinants, poly_add, scale, shifted_inner)
 from optapprox.errors import ConditioningError, ZeroAtOriginError
 
@@ -50,10 +50,9 @@ class TestOptimal:
             coeffs[0] = (int(rng.integers(1, 4)), 1)
             f = Series.exact(coeffs)
             for alpha in (-1, 0, 2):
-                sys = gram(f, 3, alpha)
                 # normal equations: the transposed Gram matrix, and the
                 # right-hand side conj(f(0)) e_0
-                M = sys.matrix.to_exact()
+                M = gram_matrix(f, 3, alpha).to_exact()
                 transposed = tuple(tuple(M[l][k] for l in range(4))
                                    for k in range(4))
                 rhs = (f.at0().conjugate(),) + (ExactComplex(0),) * 3
@@ -69,7 +68,7 @@ class TestOptimal:
         for f in (CUBE, complex_f):
             for alpha in range(-2, 3):
                 sweep = optimal_sweep(f, 5, alpha)
-                G = gram(f, 5, alpha).matrix.to_exact()
+                G = gram_matrix(f, 5, alpha).to_exact()
                 for n in range(6):
                     single = optimal(f, n, alpha)
                     assert (sweep[n].p.coeffs, sweep[n].distance_sq) == \

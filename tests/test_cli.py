@@ -331,6 +331,21 @@ def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):
     assert json.loads(err)["error"] == "ConditioningError"
 
 
+@pytest.mark.parametrize("command", [
+    ("approximant", "--n", "2"),
+    ("zeros", "--n-range", "0..3"),
+    ("first-zero",),
+], ids=lambda c: c[0])
+def test_eta_outside_the_space_is_validation_error(capsys, command):
+    # (1+z)/(1-z) is not in H^2 (alpha + 2 eta = 1): its tail diverges
+    code, out, err = run(capsys, *command, "--backend", "float", "--alpha", "0",
+                         "--f", '{"family":"eta_family","params":{"eta":1,"truncation":10000}}')
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SpecValidationError" and payload["module"] == "families"
+    assert "not in D_alpha" in payload["message"]
+
+
 @pytest.mark.parametrize("argv, error, module", [
     (("cyclicity", "--max-n", "60", "--f", '{"family":"one_minus_z_pow","params":{"N":8}}'),
      "ConditioningError", "linsolve"),

@@ -1,6 +1,8 @@
-"""The CLI contract on hostile exact specs: every input ends in exit 0, 2,
-3 or 4; a refusal prints nothing on stdout and one JSON error on stderr;
-an accepted approximant equals an independent exact solve.  And scaling
+"""The CLI contract on hostile exact specs and on float family specs:
+every input ends in exit 0, 2, 3 or 4; a refusal prints nothing on
+stdout and one JSON error on stderr; an accepted approximant equals an
+independent exact solve, and a truncated family reports a nonnegative
+tail, or is refused where it lies outside D_alpha.  And scaling
 f by c scales p_n by 1/c and keeps its zeros, however far c is from 1."""
 
 import contextlib
@@ -127,9 +129,54 @@ def test_exact_spec_contract(coeffs, alpha, n, command):
     if code:
         return
     if command == "approximant":
-        f = Series(tuple(values), True)
+        f = Series(tuple(values))
         got = [parse_scalar(c) for c in json.loads(out)["coefficients"]]
         assert got == oracle_approximant(f, n, int(float(alpha)))
+
+
+@st.composite
+def family_specs(draw):
+    """A float eta or Blaschke spec, with its eta (None for Blaschke)."""
+    truncation = draw(st.integers(64, 5000))
+    if draw(st.booleans()):
+        eta = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 2.0)))
+        return {"family": "eta_family", "params": {"eta": eta, "truncation": truncation}}, eta
+    modulus = draw(st.one_of(st.floats(1e-3, 0.999), st.just(1e-200)))   # |lambda|^2 underflows
+    lam = modulus * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return {"family": "blaschke", "params": {"lambda": {"re": lam.real, "im": lam.imag},
+                                             "truncation": truncation}}, None
+
+
+TAIL_COMMANDS = {
+    "approximant": lambda n: ("--n", str(n)),
+    "zeros": lambda n: ("--n-range", f"0..{n}"),
+    "first-zero": lambda n: (),
+    "cyclicity": lambda n: ("--max-n", str(n)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_specs(), st.sampled_from([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+       st.integers(0, 12), st.sampled_from(sorted(TAIL_COMMANDS)))
+def test_float_family_spec_contract(spec, alpha, n, command):
+    # eta lies in D_alpha only when alpha + 2 eta < 1; the commands that
+    # report a tail refuse it elsewhere, and report a nonnegative one inside
+    spec, eta = spec
+    code, out, err = run(command, "--backend", "float", "--f", json.dumps(spec),
+                         f"--alpha={alpha}", *TAIL_COMMANDS[command](n))
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out == ""
+        assert err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "module", "message"}
+    else:
+        assert err == ""
+    if eta is not None and alpha + 2 * eta >= 1 and command != "cyclicity":
+        assert code == 2 and json.loads(err)["error"] == "SpecValidationError"
+    elif code == 0 and command in ("approximant", "first-zero"):
+        payload = json.loads(out)
+        if payload.get("finite", True):
+            assert payload["tail_error_bound"] >= 0
 
 
 def approximant_output(coeffs, *argv):

@@ -27,7 +27,7 @@ class TestRealize:
         expected = np.full(101, 2.0)
         expected[0] = 1.0
         assert np.asarray(f.coeffs) == pytest.approx(expected)
-        assert not f.is_exact_polynomial
+        assert f.tail_sq(100, -2) > 0
 
     def test_blaschke_geometric(self):
         lam = 0.5
@@ -99,6 +99,55 @@ class TestBlockRules:
         want = np.concatenate([[lam], (abs(lam) ** 2 - 1) * np.conj(lam) ** np.arange(M)])
         np.testing.assert_allclose(f.coeffs, want, rtol=0, atol=1e-13)
         assert f.coeffs.dtype == np.complex128 and not f.coeffs.flags.writeable
+
+
+class TestTailRules:
+    @pytest.mark.parametrize("eta, alpha, K", [
+        (0.3, 0, 100), (0.45, 0, 1000), (0.8, -1, 1000), (0.2, 0.5, 300),
+        (1, -2, 10), (1.5, -2.5, 50), (1.9, -4, 5000)])
+    def test_eta_tail_rule_bounds_the_tail(self, eta, alpha, K):
+        # sum_{j>K} (j+1)^alpha a_j^2: its terms to N = 2^20, and past N,
+        # for eta <= 1, the sum by its integral of the lower bound
+        # a_j >= 2 g_j >= 2 (j+1)^(eta-1) / Gamma(eta) (Gautschi); the
+        # cases with eta > 1 decay fast enough to leave out what is past N
+        N = 2 ** 20
+        a = np.asarray(realize(FunctionSpec(
+            "eta_family", {"eta": eta, "truncation": N}, "float")).coeffs).real
+        j = np.arange(K + 1, N + 1, dtype=np.float64)
+        p = alpha + 2 * eta - 2
+        rest = 4 / math.gamma(eta) ** 2 * (N + 2) ** (p + 1) / (-p - 1) if eta <= 1 else 0.0
+        below = np.sum((j + 1) ** alpha * a[K + 1:] ** 2) + rest
+        f = realize(FunctionSpec("eta_family", {"eta": eta, "truncation": 64}, "float"))
+        assert below <= f.tail_sq(K, alpha) <= 1.3 * below
+
+    @pytest.mark.parametrize("lam, alpha, K", [
+        (0.99, 0, 300), (0.99j, 2, 300), (-0.5, -1, 3), (0.9, 3, 30), (0.9, 40, 2)])
+    def test_blaschke_tail_rule_bounds_the_tail(self, lam, alpha, K):
+        # the tail (1-r)^2 r^K sum_{i>=0} (K+2+i)^alpha r^i, r = |lambda|^2,
+        # summed until its terms are below 1e-20 of it
+        r = abs(lam) ** 2
+        i = np.arange(20000, dtype=np.float64)
+        terms = (K + 2 + i) ** alpha * r ** i
+        assert terms[-1] < 1e-20 * terms.sum() or alpha == 40
+        tail = (1 - r) ** 2 * r ** K * terms.sum()
+        f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": 10}, "float"))
+        bound = f.tail_sq(K, alpha)
+        if alpha == 40:   # the ratio bound r (4/3)^40 is above 1
+            assert bound == math.inf
+        else:
+            assert tail * (1 - 1e-12) <= bound <= 1.3 * tail
+        assert f.tail_sq(-1, alpha) == math.inf
+
+    def test_blaschke_tail_rule_where_the_square_underflows(self):
+        # |lambda|^2 = 1e-400 is 0 in floats; the tail, below 1e-1200, is too
+        f = realize(FunctionSpec("blaschke", {"lambda": 1e-200, "truncation": 10}, "float"))
+        assert f.tail_sq(3, -3) == 0.0
+
+    def test_eta_outside_the_space_is_refused(self):
+        f = realize(FunctionSpec("eta_family", {"eta": 0.5, "truncation": 64}, "float"))
+        assert f.tail_sq(0, -0.01) == math.inf   # K < 1
+        with pytest.raises(SpecValidationError, match="alpha \\+ 2 eta < 1"):
+            f.tail_sq(10, 0)
 
 
 class TestSpecValidation:

@@ -216,7 +216,7 @@ gaussian_rationals = st.builds(ExactComplex, rationals, rationals)
 def test_exact_cyclicity_sums_are_the_basis_sums(coeffs, alpha, N):
     # read off the forward pass with B = e_0 against the basis from B = I
     assume(not coeffs[0].is_zero)
-    f = Series(tuple(coeffs), True)
+    f = Series(tuple(coeffs))
     rep = cyclicity_report(f, alpha, N)
     bas = basis(f, N, alpha)
     acc = Fraction(0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from optapprox import (ExactComplex, FunctionSpec, Series, gram,
+from optapprox import (ExactComplex, FunctionSpec, Series, gram_matrix,
                        levinson_solve, optimal, outer_criterion_partial,
                        poly_roots, realize, reflection_coefficients,
                        shifted_inner, toeplitz_column)
@@ -43,7 +43,7 @@ class TestToeplitzColumn:
             coeffs[0] = (int(rng.integers(1, 4)), 0)
             f = Series.exact(coeffs)
             col = toeplitz_column(f, 4)
-            M = gram(f, 4, 0).matrix.to_exact()
+            M = gram_matrix(f, 4, 0).to_exact()
             for k in range(5):
                 for l in range(5):
                     expected = col[k - l] if k >= l else col[l - k].conjugate()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optapprox import ExactComplex, Series, basis, gram, gram_matrix, weighted_inner
+from optapprox import ExactComplex, Series, basis, gram_matrix, weighted_inner
 from optapprox.errors import DegenerateError
 from optapprox.linsolve import det_exact, factor, forward, solve
 
@@ -26,7 +26,7 @@ def functions(draw):
     part = gaussian_rationals if draw(st.booleans()) else st.builds(ExactComplex, rationals)
     coeffs = draw(st.lists(part, min_size=1, max_size=4))
     assume(not coeffs[0].is_zero)
-    return Series(tuple(coeffs), True)
+    return Series(tuple(coeffs))
 
 
 @st.composite
@@ -65,7 +65,7 @@ def inverse_from_ldl(G):
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas, gaussian_rationals)
 def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b0):
-    G = gram(f, n, alpha).matrix.to_exact()
+    G = gram_matrix(f, n, alpha).to_exact()
     e0 = (f.at0(),) + (ExactComplex(0),) * n
     assert list(solve(factor(G, f.at0()))) == exact_gauss_solve(G, e0)
     rhs = (b0,) + (ExactComplex(0),) * n
@@ -95,7 +95,7 @@ def test_solve_matches_gauss_oracle_on_general_matrices(M, b0):
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas)
 def test_det_matches_cofactor_expansion_on_gram(f, n, alpha):
-    M = gram(f, n, alpha).matrix.to_exact()
+    M = gram_matrix(f, n, alpha).to_exact()
     assert det_exact(M) == cofactor_det(M)
 
 
@@ -153,7 +153,7 @@ def band_cases(draw):
     part = gaussian_rationals if draw(st.booleans()) else st.builds(ExactComplex, rationals)
     coeffs = draw(st.lists(part, min_size=2, max_size=3))
     assume(not coeffs[0].is_zero and not coeffs[-1].is_zero)
-    f = Series(tuple(coeffs), True)
+    f = Series(tuple(coeffs))
     n = draw(st.integers(2 * f.degree + 1, 2 * f.degree + 3))
     return f, n
 
@@ -174,7 +174,7 @@ def monic_orthogonal_oracle(G):
 @given(band_cases(), alphas)
 def test_band_gram_solve_with_sizes(case, alpha):
     f, n = case
-    G = gram(f, n, alpha).matrix.to_exact()
+    G = gram_matrix(f, n, alpha).to_exact()
     assert G[0][n] == ExactComplex(0)   # outside the band
     rhs = (f.at0(),) + (ExactComplex(0),) * n
     sizes = list(range(1, n + 2))
@@ -188,7 +188,7 @@ def test_band_gram_solve_with_sizes(case, alpha):
 @given(band_cases(), alphas)
 def test_band_gram_inverse_ldl(case, alpha):
     f, n = case
-    G = gram(f, n, alpha).matrix.to_exact()
+    G = gram_matrix(f, n, alpha).to_exact()
     oracle = monic_orthogonal_oracle(G)
     assert forward(factor(G)) == oracle
     assert forward(factor(gram_matrix(f, n, alpha))) == oracle

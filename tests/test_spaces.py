@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optapprox import (ExactComplex, FunctionSpec, Series, first_zero, gram,
+from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        gram_matrix, inner, norm_sq, realize, shift,
-                       shifted_inner, weighted_inner)
+                       shifted_inner, truncation_error, weighted_inner)
 from optapprox.errors import (BackendMismatchError, ConditioningError,
                               ZeroAtOriginError)
-from optapprox.spaces import _GRAM_BLOCK, _product, gram_matrices
+from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero, _product
 
 from conftest import random_poly
 
@@ -87,23 +87,22 @@ class TestShiftedInner:
 
 class TestGram:
     def test_one_minus_z(self):
-        sys = gram(Series.exact([1, -1]), 1, 0)
-        assert sys.matrix.to_exact() == ((ExactComplex(2), ExactComplex(-1)),
-                              (ExactComplex(-1), ExactComplex(2)))
-        assert sys.tail_error_bound == 0.0
+        f = Series.exact([1, -1])
+        assert gram_matrix(f, 1, 0).to_exact() == ((ExactComplex(2), ExactComplex(-1)),
+                                                   (ExactComplex(-1), ExactComplex(2)))
+        assert truncation_error(f, 1, 0) == 0.0
 
     def test_monomial_weights_diagonal(self):
         for alpha in (-1, 0, 2):
-            sys = gram(Series.exact([1]), 2, alpha)
+            G = gram_matrix(Series.exact([1]), 2, alpha)
             expected = tuple(
                 tuple(ExactComplex(Fraction(k + 1) ** alpha) if k == l
                       else ExactComplex(0) for l in range(3))
                 for k in range(3))
-            assert sys.matrix.to_exact() == expected
+            assert G.to_exact() == expected
 
     def test_binomial_cube_bergman2(self):
-        sys = gram(Series.exact([1, 3, 3, 1]), 1, -2)
-        assert sys.matrix.to_exact() == (
+        assert gram_matrix(Series.exact([1, 3, 3, 1]), 1, -2).to_exact() == (
             (ExactComplex(Fraction(69, 16)), ExactComplex(Fraction(31, 16))),
             (ExactComplex(Fraction(31, 16)), ExactComplex(Fraction(741, 400))))
 
@@ -113,26 +112,24 @@ class TestGram:
         for f in (Series.exact([0, 1]), Series.from_complex([0.0, 1.0]),
                   Series.from_complex([-0.0, 1e-12])):
             with pytest.raises(ZeroAtOriginError):
-                gram(f, 1, 0)
+                _f0_nonzero(f)
 
     def test_float_squares_below_the_normal_range_rejected(self):
         # |f(0)|^2 = 1e-310, and a Gram matrix of entries near 1e-320
         with pytest.raises(ConditioningError, match=r"\|f\(0\)\|\^2 is below"):
-            gram(Series.from_complex([1e-155, 1.0]), 1, 0)
+            _f0_nonzero(Series.from_complex([1e-155, 1.0]))
         with pytest.raises(ConditioningError, match="Gram matrix lies below"):
             gram_matrix(Series.from_complex([1e-160, 5e-161]), 1, -1)
 
     def test_tail_bound_positive_for_truncated_series(self):
-        coeffs = 0.9 ** np.arange(200)
-        f = Series.from_complex(coeffs, is_exact_polynomial=False)
-        sys = gram(f, 2, 0)
-        assert sys.tail_error_bound > 0.0
+        f = blaschke_series(0.99, 199)
+        bound = truncation_error(f, 2, 0)
+        assert bound > 0.0
         # the bound dominates the actual truncation error of each entry
-        full = Series.from_complex(0.9 ** np.arange(2000),
-                                   is_exact_polynomial=False)
+        full = blaschke_series(0.99, 1999)
         err = max(abs(shifted_inner(f, k, l, 0) - shifted_inner(full, k, l, 0))
                   for k in range(3) for l in range(3))
-        assert err <= 10 * sys.tail_error_bound
+        assert err <= bound
 
 
 class TestWeightedInner:
@@ -187,7 +184,7 @@ def test_gram_positive_definite(rng):
         coeffs[0] = (int(rng.integers(1, 5)), 0)
         f = Series.exact(coeffs)
         for alpha in (-2, 0, 1):
-            M = gram(f, 3, alpha).matrix.to_exact()
+            M = gram_matrix(f, 3, alpha).to_exact()
             # all leading principal minors positive
             for m in range(1, 5):
                 sub = tuple(row[:m] for row in M[:m])
@@ -195,7 +192,7 @@ def test_gram_positive_definite(rng):
                 assert d.im == 0 and d.re > 0
         fl = f.to_float()
         for alpha in (-0.5, 0.5):
-            Mf = np.asarray(gram(fl, 3, alpha).matrix)
+            Mf = np.asarray(gram_matrix(fl, 3, alpha))
             assert np.linalg.eigvalsh(Mf).min() > 0
 
 
@@ -285,7 +282,7 @@ class TestFloatGramKernel:
             c = rng.standard_normal(length)
             if complex_coeffs:
                 c = c + 1j * rng.standard_normal(length)
-            f = Series.from_complex(c, is_exact_polynomial=False)
+            f = Series.from_complex(c)
             for alpha in (-1.5, 0, 2):
                 assert_gram_matches_shifted_inner(f, n, alpha)
 
@@ -331,7 +328,7 @@ def exact_polynomials(draw):
     coefficients (zero ones included)."""
     im = exact_parts if draw(st.booleans()) else st.just(Fraction(0))
     coeffs = draw(st.lists(st.builds(ExactComplex, exact_parts, im), min_size=1, max_size=4))
-    return Series(tuple(coeffs), True)
+    return Series(tuple(coeffs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,50 +365,51 @@ def test_gram_numerators_need_the_exact_backend():
         gram_matrix(Series.exact([1, 1]), 2, 0.5)
 
 
-# -- one pass over a block-generated series, with its half truncation -------
-
-def _stored(f, degree=None):
-    """The coefficients 0..degree of f as a stored float series."""
-    c = np.asarray(f.coeffs)
-    return Series.from_complex(c if degree is None else c[: degree + 1],
-                               is_exact_polynomial=False)
-
+# -- one pass over a block-generated series, and the bound on its tail -------
 
 @pytest.mark.parametrize("kind", ["eta", "blaschke"])
 @pytest.mark.parametrize("length", [_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
                                     2 * _GRAM_BLOCK + 3])
 def test_block_series_gram_matches_stored(kind, length):
-    # the eta family is real, the Blaschke factor complex; H is placed
-    # next to the block edges too
+    # the eta family is real, the Blaschke factor complex
     f = (eta_series(0.7, length - 1) if kind == "eta"
          else blaschke_series(0.9995 * np.exp(0.4j), length - 1))
-    stored = _stored(f)
+    stored = Series.from_complex(np.asarray(f.coeffs))
     for n in (0, 1, 6, 30):
         for alpha in (-1.5, 0, 1):
             G = gram_matrix(f, n, alpha)
             assert np.array_equal(G, gram_matrix(stored, n, alpha))
             if n in (1, 30) and length > _GRAM_BLOCK:
                 assert_gram_matches_shifted_inner(f, n, alpha)
-            for H in (n + 1, _GRAM_BLOCK - n - 1, _GRAM_BLOCK - 1, _GRAM_BLOCK,
-                      length - 2):
-                if H >= length - 1:
-                    continue
-                G_full, G_H = gram_matrices(f, n, alpha, H)
-                assert np.array_equal(G_full, G)
-                ref = gram_matrix(_stored(f, H), n, alpha)
-                d = np.sqrt(np.outer(ref.diagonal().real, ref.diagonal().real))
-                assert np.all(np.abs(G_H - ref) <= 1e-13 * d)
 
 
 @pytest.mark.parametrize("f, n, alpha", [
-    (eta_series(0.8, 10 ** 4), 1, -1),
-    (eta_series(0.3, 3 * 10 ** 4), 6, 0),
-    (eta_series(0.2, 2 * 10 ** 4), 8, 0.5),
-    (blaschke_series(0.4 - 0.6j, 5 * 10 ** 4), 25, 0),
-    (blaschke_series(-0.9, 40), 30, -2),   # the half truncation is at n + 1
-])
-def test_tail_is_the_two_truncation_difference(f, n, alpha):
-    H = max(n + 1, (len(f) - 1) // 2)
-    want = np.max(np.abs(gram_matrix(_stored(f), n, alpha)
-                         - gram_matrix(_stored(f, H), n, alpha)))
-    assert gram(f, n, alpha).tail_error_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
+    (lambda M: eta_series(0.8, M), 1, -1),
+    (lambda M: eta_series(1.2, M), 4, -2),      # eta > 1: increasing g_k
+    (lambda M: eta_series(0.3, M), 6, 0),
+    (lambda M: eta_series(0.2, M), 8, 0.5),
+    (lambda M: blaschke_series(0.99j, M), 3, -1),
+    (lambda M: blaschke_series(-0.99, M), 5, 0),
+    (lambda M: blaschke_series(0.99 * np.exp(1j), M), 10, 2),
+], ids=["eta-0.8", "eta-1.2", "eta-0.3", "eta-0.2", "blaschke-bergman",
+        "blaschke-hardy", "blaschke-alpha-2"])
+def test_truncation_error_bounds_the_entry_change(f, n, alpha):
+    # |lambda| = 0.99, so that the Blaschke tail at M = 300 does not underflow
+    M = 300
+    bound = truncation_error(f(M), n, alpha)
+    change = np.max(np.abs(gram_matrix(f(64 * M), n, alpha) - gram_matrix(f(M), n, alpha)))
+    assert change <= bound <= 200 * change
+
+
+@pytest.mark.parametrize("kind, M", [("eta", 64), ("blaschke", 5)])
+def test_truncation_error_where_n_reaches_the_truncation(kind, M):
+    # K = M - n < 1: the bound is inf or still bounds the entry change
+    f = eta_series(0.3, M) if kind == "eta" else blaschke_series(0.99, M)
+    longer = eta_series(0.3, 64 * M) if kind == "eta" else blaschke_series(0.99, 64 * M)
+    for n in (M - 1, M, M + 1, M + 7):
+        for alpha in (-1, 0, 0.3):
+            bound = truncation_error(f, n, alpha)
+            change = np.max(np.abs(gram_matrix(longer, n, alpha) - gram_matrix(f, n, alpha)))
+            assert bound == np.inf or change <= bound
+            if n > M:
+                assert bound == np.inf

@@ -11,7 +11,7 @@ import pytest
 from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        first_zero_with_tail, fixed_point_residual, optimal,
                        poly_mul, poly_roots, realize, zero_bound_check)
-from optapprox.errors import DegenerateError
+from optapprox.errors import DegenerateError, SpecValidationError
 from optapprox.zeros import (NO_FINITE_ZERO, _cluster, _float_view, _newton_polish,
                              poly_roots_batch)
 
@@ -229,23 +229,29 @@ class TestFirstZero:
         # the tail estimate brackets the known limit 119/121
         assert abs(complex(value).real - 119 / 121) <= tail
 
-    @pytest.mark.parametrize("f, alpha", [
-        (("eta_family", {"eta": 0.8, "truncation": 3 * 10 ** 4}), -1),
-        (("eta_family", {"eta": 0.3, "truncation": 2 ** 15}), 0),
-        (("blaschke", {"lambda": 0.5 - 0.7j, "truncation": 2 ** 14}), 1),
-        (("blaschke", {"lambda": 0.6, "truncation": 1}), -2),
-    ])
-    def test_tail_is_the_two_truncation_difference(self, f, alpha):
-        # first_zero_with_tail reads both zeros off one pass over f; they
-        # are those of f and of f truncated at half its stored degree
-        f = realize(FunctionSpec(*f, "float"))
-        c = np.asarray(f.coeffs)
-        half = Series.from_complex(c[: (len(c) - 1) // 2 + 1], is_exact_polynomial=False)
-        v_full = complex(first_zero(Series.from_complex(c), alpha))
-        v_half = complex(first_zero(half, alpha))
+    @pytest.mark.parametrize("M", [10 ** 4, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("eta, alpha, limit", [
+        (1, -2, (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)),
+        (0.8, -1, 119 / 121),
+        (0.45, 0, (2 - 0.45) / (1 + 0.45)),
+        (0.3, 0, (2 - 0.3) / (1 + 0.3)),
+    ], ids=["euler", "bergman", "hardy-0.45", "hardy-0.3"])
+    def test_tail_brackets_the_known_limit(self, eta, alpha, limit, M):
+        f = realize(FunctionSpec("eta_family", {"eta": eta, "truncation": M}, "float"))
         value, tail = first_zero_with_tail(f, alpha)
-        assert complex(value) == pytest.approx(v_full, rel=1e-12)
-        assert tail == pytest.approx(4 * abs(v_full - v_half), rel=1e-12, abs=1e-12)
+        assert abs(complex(value) - limit) <= tail < math.inf
+
+    def test_tail_refuses_eta_outside_the_space(self):
+        # (1+z)/(1-z) is not in H^2: alpha + 2 eta = 1
+        f = realize(FunctionSpec("eta_family", {"eta": 1, "truncation": 10 ** 4}, "float"))
+        with pytest.raises(SpecValidationError, match="not in D_alpha"):
+            first_zero_with_tail(f, 0)
+
+    def test_tail_is_inf_when_it_swamps_the_denominator(self):
+        # at truncation 64 the eta = 0.45 Hardy tail exceeds |<f, z f>|
+        f = realize(FunctionSpec("eta_family", {"eta": 0.45, "truncation": 64}, "float"))
+        value, tail = first_zero_with_tail(f, 0)
+        assert tail == math.inf and value == first_zero(f, 0)
 
     def test_eta_first_zero_holds_no_series(self):
         # the 1e7 coefficients are generated and summed block by block
