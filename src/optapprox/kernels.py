@@ -121,7 +121,9 @@ def cyclicity_report(f: Series, alpha, max_n: int) -> CyclicityReport:
     monic psi_k, so |phi_k(0)|^2 = |(L^-1 e_0)_k|^2 / D_k.  Float: refused
     as the approximants of n <= max_n are."""
     _f0_nonzero(f)
-    F = linsolve.factor(gram_matrix(f, max_n, alpha), f.scalar(1))
+    G = gram_matrix(f, max_n, alpha)
+    f.require_in_space(alpha)
+    F = linsolve.factor(G, f.scalar(1))
     col, norms = linsolve.forward(F, range(1, max_n + 2))
     f0 = f.at0()
     sums = tuple(accumulate(abs_sq(x[0]) / s for x, s in zip(col, norms)))

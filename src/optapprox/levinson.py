@@ -66,6 +66,7 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     # (see approximant._approximants), so the recursion runs on the
     # conjugated autocorrelation column of g, which is f's over |f(0)|^2.
     autocorr = toeplitz_column(f, n)
+    f.require_in_space(0)
     f0_sq = abs_sq(f.at0())
     r = tuple(x.conjugate() / f0_sq for x in autocorr)
     if f.backend == "float" and not r[0].real * TINY < 1:

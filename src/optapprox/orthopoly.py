@@ -97,6 +97,7 @@ def basis(f: Series, n: int, alpha) -> OrthonormalBasis:
     if f.is_zero:
         raise DegenerateError("cannot orthogonalize against the zero function")
     G = gram_matrix(f, n, alpha)
+    f.require_in_space(alpha)
     return _basis_from(f, n, alpha, G, linsolve.factor(G))
 
 

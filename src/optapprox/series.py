@@ -9,7 +9,9 @@ truncated analytic germ.  Two backends coexist:
 A long float series may instead be a :class:`BlockSeries`, whose
 coefficients a rule yields block by block (the truncated families of
 ``families.py``); passes over :meth:`Series.blocks` never hold it whole,
-and :meth:`Series.tail_sq` bounds the infinite tail it leaves out.
+:meth:`Series.tail_sq` bounds the infinite tail it leaves out,
+:meth:`Series.require_in_space` refuses it where that tail diverges, and
+:meth:`Series.gram_split` says where a float Gram pass over it may stop.
 
 All values are immutable after construction and every operation here is
 pure, so Series may be shared freely across threads.
@@ -118,12 +120,12 @@ class Series:
     def at0(self):
         return self.coeffs[0]
 
-    def blocks(self, size: int):
-        """The float coefficients in consecutive blocks of ``size``, the
-        last one shorter: float64 arrays when every coefficient is real,
-        complex128 ones otherwise.  A block may be overwritten once the
-        next one is asked for."""
-        c = self.coeffs
+    def blocks(self, size: int, stop: int | None = None):
+        """The float coefficients before index ``stop`` (all by default) in
+        consecutive blocks of ``size``, the last one shorter: float64
+        arrays when every coefficient is real, complex128 ones otherwise.
+        A block may be overwritten once the next one is asked for."""
+        c = self.coeffs[:stop]
         if not c.imag.any():
             c = c.real
         for start in range(0, len(c), size):
@@ -140,6 +142,19 @@ class Series:
         stored ones; 0 for a polynomial, which has none."""
         return 0.0
 
+    def require_in_space(self, alpha) -> None:
+        """Raise SpecValidationError when the function this series stands
+        for is not in D_alpha; a polynomial is in every one.  Commands read
+        it after the Gram matrix, so that one that overflows is refused as
+        such (a ConditioningError)."""
+
+    def gram_split(self, n: int, alpha: float):
+        """Where the float Gram pass of degree n over this series may stop:
+        None to sum every row, or (K, far) to sum the rows m < K and add
+        ``far``, the rest of the sum as the series gives it (the matrix, or
+        at alpha = 0 the n+1 lags; None when it is 0)."""
+        return None
+
     def __repr__(self):
         return f"Series({list(self.coeffs)!r}, backend={self.backend})"
 
@@ -149,16 +164,21 @@ _READ_BLOCK = 1 << 14
 
 
 class BlockSeries(Series):
-    """A float series of ``length`` coefficients that ``rule(size)`` yields
-    in blocks, with the dtype and block sizes of :meth:`Series.blocks`,
-    and whose tail ``tail(K, alpha)`` bounds as :meth:`Series.tail_sq`.
-    ``coeffs`` is built, as complex128, only when some code reads it;
-    ``len``, ``backend``, ``at0`` and ``is_zero`` never build it."""
+    """A float series of ``length`` coefficients whose first m
+    ``rule(m, size)`` yields in blocks, with the dtype and block sizes of
+    :meth:`Series.blocks`; ``tail(K, alpha)`` bounds its tail as
+    :meth:`Series.tail_sq`, ``split(length, n, alpha)`` answers
+    :meth:`Series.gram_split`, and ``space(alpha)``, when given, is
+    :meth:`Series.require_in_space`.  ``coeffs`` is built, as complex128,
+    only when some code reads it; ``len``, ``backend``, ``at0`` and
+    ``is_zero`` never build it."""
 
-    def __init__(self, length: int, rule, tail):
+    def __init__(self, length: int, rule, tail, split, space=None):
         object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_rule", rule)
         object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "_space", space)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -175,14 +195,21 @@ class BlockSeries(Series):
     def __len__(self):
         return self._length
 
-    def blocks(self, size: int):
-        return self._rule(size)
+    def blocks(self, size: int, stop: int | None = None):
+        return self._rule(self._length if stop is None else min(stop, self._length), size)
 
     def at0(self):
         return np.complex128(next(self.blocks(1))[0])
 
     def tail_sq(self, K: int, alpha) -> float:
         return self._tail(K, alpha)
+
+    def require_in_space(self, alpha) -> None:
+        if self._space is not None:
+            self._space(alpha)
+
+    def gram_split(self, n: int, alpha: float):
+        return self._split(self._length, n, alpha)
 
     @property
     def is_zero(self) -> bool:

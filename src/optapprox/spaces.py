@@ -11,10 +11,15 @@ Levinson's alpha = 0 column included.  The float one is one blocked
 matrix product F^H W F over the coefficients, or at alpha = 0 the n+1
 lags of its Toeplitz column, summed in one pass over the blocks of the
 series: a truncated family is generated inside the pass and never held
-whole.  The exact one is the band of its integer numerators over one
-common denominator.  :func:`truncation_error` bounds how far the matrix
-of a truncated family lies from that of the function, by the family's
-own tail rule ``Series.tail_sq``.
+whole, and it says where the pass may stop (``Series.gram_split``).  A
+Blaschke factor stops where its coefficients become 0.0 in floats;
+the eta family sums a head of a few thousand rows and gives the rest of
+each entry in closed form, so its cost does not grow with the
+truncation.  The exact one is the band of its integer numerators over
+one common denominator.  :func:`truncation_error` bounds how far the
+matrix of a truncated family lies from that of the function, by the
+family's own tail rule ``Series.tail_sq``, which refuses, as
+``Series.require_in_space`` does, a function outside D_alpha.
 
 :func:`inner` is the one reference inner product, with one float and one
 exact body; :func:`norm_sq`, :func:`shifted_inner` and
@@ -126,10 +131,10 @@ def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
     pivot checks)."""
     alpha = float(alpha)
     lags = alpha == 0
-    blocks = f.blocks(_GRAM_BLOCK)
+    rows, far = f.gram_split(n, alpha) or (len(f) + (0 if lags else n), None)
+    blocks = f.blocks(_GRAM_BLOCK, rows)
     first = next(blocks)
     blocks, dtype = chain([first], blocks), first.dtype
-    rows = len(f) + (0 if lags else n)
     # the work arrays of one block, reused from block to block: fresh ones
     # cost page faults, which tripled the time of a pass at n = 8
     size = min(max(_GRAM_BLOCK, n), rows)
@@ -162,6 +167,8 @@ def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
             np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
             _product(np.multiply(Ft, w[:L], out=A[:, :L]),
                      np.conjugate(Ft, out=C[:, :L]).T, acc)
+    if far is not None:
+        acc += far
     if lags:
         # Toeplitz, with first column conj(r_k) and r_0 real
         c = acc.astype(np.complex128)
@@ -188,7 +195,9 @@ def gram_matrix(f: Series, n: int, alpha):
     reversed sliding window over the zero-padded coefficients, and the
     product is accumulated over blocks of rows taken from
     ``f.blocks(_GRAM_BLOCK)``, so memory does not grow with the series
-    length, and a BlockSeries is generated inside the pass.  Real
+    length, and a BlockSeries is generated inside the pass.  The series
+    may stop the pass early, ``f.gram_split(n, alpha)``, and add the rows
+    past the stop as it sums them itself.  Real
     coefficients (the eta family, say) run in float64.  At alpha = 0 the
     matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
     n+1 lags r_j = sum_m f_m conj(f_{m-j}), with r_0 real: O(M n) instead

@@ -332,13 +332,17 @@ def test_overflowing_float_gram_is_numerical_error(capsys, command, spec):
 
 
 @pytest.mark.parametrize("command", [
-    ("approximant", "--n", "2"),
-    ("zeros", "--n-range", "0..3"),
-    ("first-zero",),
+    ("approximant", "--n", "2", "--alpha", "0"),
+    ("zeros", "--n-range", "0..3", "--alpha", "0"),
+    ("first-zero", "--alpha", "0"),
+    ("cyclicity", "--max-n", "3", "--alpha", "0"),
+    ("orthopoly", "--n", "2", "--alpha", "0"),
+    ("kernel", "--n", "2", "--alpha", "0"),
+    ("levinson", "--n", "3"),        # alpha = 0 always
 ], ids=lambda c: c[0])
 def test_eta_outside_the_space_is_validation_error(capsys, command):
     # (1+z)/(1-z) is not in H^2 (alpha + 2 eta = 1): its tail diverges
-    code, out, err = run(capsys, *command, "--backend", "float", "--alpha", "0",
+    code, out, err = run(capsys, *command, "--backend", "float",
                          "--f", '{"family":"eta_family","params":{"eta":1,"truncation":10000}}')
     assert code == 2 and out == ""
     payload = json.loads(err)
@@ -346,13 +350,35 @@ def test_eta_outside_the_space_is_validation_error(capsys, command):
     assert "not in D_alpha" in payload["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ("approximant", "--n", "2"),
+    ("first-zero",),
+    ("orthopoly", "--n", "2"),
+    ("kernel", "--n", "2"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("lam, alpha", [(0.4, 0.001), (1e-40, 0.1), (1e-150, 0.45)])
+def test_blaschke_tail_where_its_ratio_exponent_overflows(capsys, command, lam, alpha):
+    # -log|lambda| / alpha is past 709, where exp overflows: the tail rule
+    # and the D_alpha check still answer, and the tail reported is finite
+    spec = {"family": "blaschke", "params": {"lambda": lam, "truncation": 1000}}
+    code, out, err = run(capsys, *command, "--backend", "float", f"--alpha={alpha}",
+                         "--f", json.dumps(spec))
+    assert code == 0 and err == ""
+    if command[0] == "approximant":
+        assert math.isfinite(json.loads(out)["tail_error_bound"])
+
+
 @pytest.mark.parametrize("argv, error, module", [
     (("cyclicity", "--max-n", "60", "--f", '{"family":"one_minus_z_pow","params":{"N":8}}'),
      "ConditioningError", "linsolve"),
     (("first-zero", "--f", OVERFLOWING_SPECS[1].values[0]), "ConditioningError", "spaces"),
-], ids=["solve-conditioning", "gram-overflow"])
+    (("first-zero", "--alpha", "60", "--f",
+      '{"family":"eta_family","params":{"eta":0.5,"truncation":10000000}}'),
+     "ConditioningError", "spaces"),
+], ids=["solve-conditioning", "gram-overflow", "far-part-overflow"])
 def test_error_names_the_module_that_raised_it(capsys, argv, error, module):
-    # the condition check of the float solve and the float Gram check
+    # the condition check of the float solve and the float Gram check, also
+    # where only the eta far part past the summed head overflows
     code, out, err = run(capsys, *argv, "--backend", "float")
     assert code == 3 and out == ""
     payload = json.loads(err)

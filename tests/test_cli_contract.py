@@ -159,8 +159,8 @@ TAIL_COMMANDS = {
 @given(family_specs(), st.sampled_from([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
        st.integers(0, 12), st.sampled_from(sorted(TAIL_COMMANDS)))
 def test_float_family_spec_contract(spec, alpha, n, command):
-    # eta lies in D_alpha only when alpha + 2 eta < 1; the commands that
-    # report a tail refuse it elsewhere, and report a nonnegative one inside
+    # eta lies in D_alpha only when alpha + 2 eta < 1; every command refuses
+    # it elsewhere, and the ones that report a tail report a nonnegative one
     spec, eta = spec
     code, out, err = run(command, "--backend", "float", "--f", json.dumps(spec),
                          f"--alpha={alpha}", *TAIL_COMMANDS[command](n))
@@ -171,7 +171,7 @@ def test_float_family_spec_contract(spec, alpha, n, command):
         assert set(json.loads(err)) == {"error", "module", "message"}
     else:
         assert err == ""
-    if eta is not None and alpha + 2 * eta >= 1 and command != "cyclicity":
+    if eta is not None and alpha + 2 * eta >= 1:
         assert code == 2 and json.loads(err)["error"] == "SpecValidationError"
     elif code == 0 and command in ("approximant", "first-zero"):
         payload = json.loads(out)

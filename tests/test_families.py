@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from optapprox import (FunctionSpec, Series, cesaro_closed_form,
                        hardy_power_closed_form, norm_sq, one_minus_z_reference,
                        optimal, poly_eval, realize, spec_from_json)
 from optapprox.errors import SpecValidationError, UnsupportedAlphaError
+from optapprox.families import _eta_far, _eta_head
+
+from conftest import FIXED_BITS, eta_fixed_point
 
 
 class TestRealize:
@@ -121,27 +125,33 @@ class TestTailRules:
         assert below <= f.tail_sq(K, alpha) <= 1.3 * below
 
     @pytest.mark.parametrize("lam, alpha, K", [
-        (0.99, 0, 300), (0.99j, 2, 300), (-0.5, -1, 3), (0.9, 3, 30), (0.9, 40, 2)])
+        (0.99, 0, 300), (0.99j, 2, 300), (-0.5, -1, 3), (0.9, 3, 30), (0.9, 40, 2),
+        (0.9, 3, 0), (0.999, 5, 10), (0.4, 0.001, 0), (1e-40, 0.1, 3)])
     def test_blaschke_tail_rule_bounds_the_tail(self, lam, alpha, K):
         # the tail (1-r)^2 r^K sum_{i>=0} (K+2+i)^alpha r^i, r = |lambda|^2,
-        # summed until its terms are below 1e-20 of it
+        # summed until its terms are below 1e-20 of it; at alpha > 0 the
+        # ratio of consecutive terms starts above 1 (r (4/3)^40 at K = 2).
+        # In the last two, -log(r) / alpha is past 709, where exp overflows
         r = abs(lam) ** 2
-        i = np.arange(20000, dtype=np.float64)
+        i = np.arange(40000, dtype=np.float64)
         terms = (K + 2 + i) ** alpha * r ** i
-        assert terms[-1] < 1e-20 * terms.sum() or alpha == 40
+        assert terms[-1] < 1e-20 * terms.sum()
         tail = (1 - r) ** 2 * r ** K * terms.sum()
         f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": 10}, "float"))
-        bound = f.tail_sq(K, alpha)
-        if alpha == 40:   # the ratio bound r (4/3)^40 is above 1
-            assert bound == math.inf
-        else:
-            assert tail * (1 - 1e-12) <= bound <= 1.3 * tail
+        assert tail * (1 - 1e-12) <= f.tail_sq(K, alpha) <= 1.3 * tail
         assert f.tail_sq(-1, alpha) == math.inf
+
+    def test_blaschke_tail_rule_past_its_summed_terms(self):
+        # the ratio falls to sqrt(r) only after about 2 alpha / -log(r)
+        # terms: above _BLASCHKE_TAIL_TERMS of them the rule reads inf
+        f = realize(FunctionSpec("blaschke", {"lambda": 1 - 1e-9, "truncation": 10}, "float"))
+        assert f.tail_sq(0, 2) == math.inf
+        assert math.isfinite(f.tail_sq(0, 0))
 
     def test_blaschke_tail_rule_where_the_square_underflows(self):
         # |lambda|^2 = 1e-400 is 0 in floats; the tail, below 1e-1200, is too
         f = realize(FunctionSpec("blaschke", {"lambda": 1e-200, "truncation": 10}, "float"))
-        assert f.tail_sq(3, -3) == 0.0
+        assert f.tail_sq(3, -3) == 0.0 and f.tail_sq(3, 0.5) == 0.0
 
     def test_eta_outside_the_space_is_refused(self):
         f = realize(FunctionSpec("eta_family", {"eta": 0.5, "truncation": 64}, "float"))
@@ -282,3 +292,58 @@ class TestHardyPowerClosedForm:
                 closed = hardy_power_closed_form(N, n)
                 direct = optimal(f, n, 0).p
                 assert tuple(closed.coeffs) == tuple(direct.coeffs)
+
+
+def fixed_point_weights(alpha, stop: int) -> list:
+    """x^alpha for x = 1..stop - 1, alpha a multiple of 1/2, as integers
+    scaled by 2^FIXED_BITS and floored."""
+    q, one = int(2 * alpha), 1 << FIXED_BITS
+    assert q == 2 * alpha
+    xs = range(1, stop)
+    if q % 2 == 0:
+        return [x ** (q // 2) * one if q >= 0 else one // x ** (-q // 2) for x in xs]
+    return [math.isqrt(x ** q * one * one if q > 0 else one * one // x ** -q) for x in xs]
+
+
+class TestEtaFarPart:
+    @pytest.mark.parametrize("eta, alpha", [
+        (1, -2), (0.8, -1), (0.45, 0), (0.2, 0.5), (1.4, 0.5), (1, -1)],
+        ids=["euler", "bergman", "hardy", "dirichlet-half", "eta-above-1", "log-power"])
+    def test_matches_a_fixed_point_sum(self, eta, alpha):
+        # the reference sums sum_{m=K}^{M+min(k,l)} (m+1)^alpha a_{m-k}
+        # a_{m-l} in integers at 2^-128, good to 28 digits or more.  In the
+        # last case p = alpha + 2 eta - 2 = -1: the power summed is x^-1, a
+        # logarithm.  The library's own float coefficients drift by up to
+        # 5e-12 relative at M = 2e5; the far part stays within 2e-15.  At
+        # n = 200 a head of 4096 rows, without its 64 n, would not do
+        M = 2 * 10 ** 5
+        A = eta_fixed_point(eta, M + 1)
+        W = fixed_point_weights(alpha, M + 202)
+        for n in (1, 8, 30, 200):
+            K = _eta_head(eta, n)
+            F = np.atleast_2d(_eta_far(eta, M + 1, K, n, alpha))
+            # at alpha = 0 the far part is the lags F_0l alone
+            for k, l in ((0, 0), (0, n)) if alpha == 0 else ((0, n), (n, n)):
+                # W[m] = (m+1)^alpha; zip stops at m = M + min(k, l)
+                S = sum(map(mul, map(mul, W[K: M + k + 1], A[K - k:]), A[K - l:]))
+                ref = S / (1 << 3 * FIXED_BITS)
+                assert abs(F[k, l] - ref) <= 1e-14 * ref
+
+    def test_large_eta(self):
+        # at eta = 45 the first exponent e_1 = (eta-1)(eta-3-2h)/2 is 924 or
+        # more, and the head grows with eta to keep e_1 / K small (a head of
+        # 4096 + 64 n rows was off by up to 3e-12).  The weights x^-90 make the
+        # terms decay like x^-2; the reference divides each integer product
+        # exactly, at 2^-768
+        eta, alpha, M = 45, -90, 5 * 10 ** 4
+        A = eta_fixed_point(eta, M + 1)
+        scale = 768 - 2 * FIXED_BITS
+        for n in (1, 8):
+            K = _eta_head(eta, n)
+            assert K > 4096 + 64 * n
+            F = _eta_far(eta, M + 1, K, n, alpha)
+            for k, l in ((0, 0), (0, n), (n, n)):
+                S = sum((A[m - k] * A[m - l] << scale) // (m + 1) ** 90
+                        for m in range(K, M + min(k, l) + 1))
+                ref = S / (1 << 768)
+                assert abs(F[k, l] - ref) <= 1e-14 * ref

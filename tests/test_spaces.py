@@ -12,9 +12,11 @@ from optapprox import (ExactComplex, FunctionSpec, Series, first_zero,
                        shifted_inner, truncation_error, weighted_inner)
 from optapprox.errors import (BackendMismatchError, ConditioningError,
                               ZeroAtOriginError)
+from optapprox import families
+from optapprox.families import _eta_head
 from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero, _product
 
-from conftest import random_poly
+from conftest import FIXED_BITS, eta_fixed_point, random_poly
 
 
 class TestInner:
@@ -211,14 +213,20 @@ def test_norm_shift_bounds(rng):
 GRAM_ALPHAS = (-2, -1.5, -0.5, 0, 0.5, 1, 2)
 
 
-def assert_gram_matches_shifted_inner(f, n, alpha):
-    G = gram_matrix(f, n, alpha)
-    R = np.array([[shifted_inner(f, k, l, alpha) for l in range(n + 1)]
-                  for k in range(n + 1)])
+def assert_entries_close(G, R):
     # relative to the Cauchy-Schwarz size sqrt(M_kk M_ll) of each entry, so
     # that entries with cancellation are held to the accuracy of their terms
     d = R.diagonal().real
     assert np.all(np.abs(G - R) <= 1e-13 * np.sqrt(np.outer(d, d)))
+
+
+def assert_gram_matches_shifted_inner(f, n, alpha, ref=None):
+    # ref: the series of f's function to read the inner products from
+    ref = f if ref is None else ref
+    G = gram_matrix(f, n, alpha)
+    R = np.array([[shifted_inner(ref, k, l, alpha) for l in range(n + 1)]
+                  for k in range(n + 1)])
+    assert_entries_close(G, R)
     assert G.dtype == np.complex128 and not G.flags.writeable
     assert np.array_equal(G, G.conj().T)
     assert np.all(G.diagonal().imag == 0)
@@ -368,19 +376,84 @@ def test_gram_numerators_need_the_exact_backend():
 # -- one pass over a block-generated series, and the bound on its tail -------
 
 @pytest.mark.parametrize("kind", ["eta", "blaschke"])
-@pytest.mark.parametrize("length", [_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
+@pytest.mark.parametrize("length", [4000, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
                                     2 * _GRAM_BLOCK + 3])
 def test_block_series_gram_matches_stored(kind, length):
-    # the eta family is real, the Blaschke factor complex
+    # the eta family is real, the Blaschke factor complex.  Past its head
+    # an eta entry takes the rest of its sum from _eta_far, within 2e-15 of
+    # a 28-digit sum (TestEtaFarPart), so it is held to the coefficients
+    # of the function correctly rounded: the stored ones, a running float
+    # product, drift from those by up to 8e-13 relative at 3.3e4, and an
+    # entry at alpha = 1 with them.  Elsewhere the pass is the one over the
+    # stored series, byte for byte
     f = (eta_series(0.7, length - 1) if kind == "eta"
          else blaschke_series(0.9995 * np.exp(0.4j), length - 1))
     stored = Series.from_complex(np.asarray(f.coeffs))
+    if kind == "eta":
+        exact = Series.from_complex([a / (1 << FIXED_BITS) for a in eta_fixed_point(0.7, length)])
     for n in (0, 1, 6, 30):
         for alpha in (-1.5, 0, 1):
             G = gram_matrix(f, n, alpha)
-            assert np.array_equal(G, gram_matrix(stored, n, alpha))
+            far = kind == "eta" and length - 1 > _eta_head(0.7, n)
+            if far:
+                assert_entries_close(G, gram_matrix(exact, n, alpha))
+            else:
+                assert np.array_equal(G, gram_matrix(stored, n, alpha))
             if n in (1, 30) and length > _GRAM_BLOCK:
-                assert_gram_matches_shifted_inner(f, n, alpha)
+                assert_gram_matches_shifted_inner(f, n, alpha, exact if far else f)
+
+
+@pytest.mark.parametrize("lam", [0.3, -0.95, 0.6 - 0.5j, 0.2j, 1e-40, 2e-20j])
+def test_blaschke_pass_stops_at_its_last_nonzero_coefficient(lam):
+    # past J(lambda) every coefficient is 0.0 in floats; the pass stops
+    # there, and its matrices are those of the factor cut at J(lambda),
+    # byte for byte (the same rows through the same kernels), and within
+    # rounding of the pass over the whole stored series.  That they are
+    # also byte-identical to the latter (616 of 616 checks with OpenBLAS
+    # 0.3.31 on Haswell kernels, owing to _BLASCHKE_ZERO_MARGIN) depends on
+    # how the BLAS orders its sums, so it is not asserted.  At 1e-40 only
+    # f_0..f_9 are nonzero, fewer than n + 1 at n = 10, and the rows up to
+    # J + n - 1 still hold their products
+    f = blaschke_series(lam, 10 ** 5)
+    J = f.gram_split(0, 0)[0]
+    c = np.asarray(f.coeffs)
+    # J is 64 zeros past 2^-1080, within six halvings of |b_j| of the
+    # smallest subnormal, 2^-1074
+    halving = np.log(2) / -np.log(abs(lam))
+    assert not c[J - 64:].any() and np.flatnonzero(c)[-1] >= J - 66 - 6 * halving
+    cut, stored = blaschke_series(lam, J - 1), Series.from_complex(c)
+    for n in (10, 25, 30):
+        for alpha in (-1, 0, 0.5):
+            G = gram_matrix(f, n, alpha)
+            assert G.tobytes() == gram_matrix(cut, n, alpha).tobytes()
+            assert_entries_close(G, gram_matrix(stored, n, alpha))
+
+
+@pytest.mark.parametrize("M", [10 ** 5, 10 ** 7, 10 ** 12])
+def test_eta_gram_cost_does_not_grow_with_the_truncation(monkeypatch, M):
+    # the pass generates the head of K = _eta_head(eta, n) coefficients, and the
+    # far part reads none
+    counted, eta_blocks = [], families._eta_blocks
+
+    def counting_blocks(*args):
+        for block in eta_blocks(*args):
+            counted.append(len(block))
+            yield block
+
+    monkeypatch.setattr(families, "_eta_blocks", counting_blocks)
+    for n, alpha in ((1, -1), (8, 0), (30, 0.5)):
+        f = eta_series(0.3, M)
+        counted.clear()
+        G = gram_matrix(f, n, alpha)
+        assert np.isfinite(G).all() and sum(counted) <= _eta_head(0.3, n) + n + 1
+
+
+def test_non_finite_far_part_is_conditioning_error():
+    # at alpha = 60 the head's entries, near 1e220, are finite, while the
+    # far part to 1e7 overflows: refused as an overflowing head is
+    assert np.isfinite(gram_matrix(eta_series(0.5, _eta_head(0.5, 1)), 1, 60)).all()
+    with pytest.raises(ConditioningError, match="overflows"):
+        gram_matrix(eta_series(0.5, 10 ** 7), 1, 60)
 
 
 @pytest.mark.parametrize("f, n, alpha", [

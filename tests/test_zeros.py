@@ -229,7 +229,7 @@ class TestFirstZero:
         # the tail estimate brackets the known limit 119/121
         assert abs(complex(value).real - 119 / 121) <= tail
 
-    @pytest.mark.parametrize("M", [10 ** 4, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("M", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 12])
     @pytest.mark.parametrize("eta, alpha, limit", [
         (1, -2, (8 * math.pi ** 2 - 57) / (8 * math.pi ** 2 - 54)),
         (0.8, -1, 119 / 121),
