@@ -418,6 +418,8 @@ def main(argv=None) -> int:
         return _emit_error(exc, EXIT_NUMERICAL)
     except OverflowError as exc:  # a float view of an exact result beyond the float range
         return _emit_error(exc, EXIT_NUMERICAL)
+    except MemoryError as exc:  # numpy's message says how much the problem needed
+        return _emit_error(exc, EXIT_NUMERICAL)
     except ValueError as exc:
         return _emit_error(exc, EXIT_VALIDATION)
 

@@ -6,29 +6,30 @@ Families: (1-z)^N and (1+z)^N (exact binomials), single Blaschke factors
 (1+z)/(1-z)^eta realized as a truncated power series, and explicit
 coefficient lists.
 
-The truncated families (Blaschke, eta) are block-generated series that
-bound their own tails past the truncation, and tell the float Gram pass
-where it may stop: a Blaschke factor at the index past which its
-coefficients are 0.0 in floats, the eta family after a head of
-_eta_head(eta, n) rows, the rest of each entry summed in closed form by
-:func:`_eta_far` (the Stirling series of a gamma ratio and
-Euler-Maclaurin sums).  The truncation is part of the function: a first
-zero at truncation M is that of the polynomial a_0 + ... + a_M z^M,
-whatever M costs.
+The truncated families (Blaschke, eta) are each a short head plus their
+own far part: the float Gram pass sums the rows of a head and the family
+gives the rest of each entry in closed form.  A Blaschke factor's rows
+past n are geometric (:func:`_blaschke_split`); the eta family sums a
+head of _eta_head(eta, n) rows and :func:`_eta_far` the rest (the
+Stirling series of a gamma ratio and Euler-Maclaurin sums).  Each also
+bounds its own tail past the truncation.  The truncation is part of the
+function: a first zero at truncation M is that of the polynomial
+a_0 + ... + a_M z^M, whatever M is.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .errors import SpecValidationError
-from .series import BlockSeries, Series
+from .errors import ConditioningError, SpecValidationError
+from .series import Series, TruncatedSeries
 
 #: The families, each with the params it reads; any other key is refused.
 FAMILIES = {"one_minus_z_pow": ("N",), "one_plus_z_pow": ("N",),
@@ -87,6 +88,14 @@ def _finite_float(x) -> float:
     return v
 
 
+def _check_truncation(trunc, least: int, family: str) -> None:
+    """A truncation M is an integer >= ``least`` whose length M + 1 fits an
+    index (len() refuses one past sys.maxsize)."""
+    if not _is_number(trunc, numbers.Integral) or not least <= trunc < sys.maxsize:
+        raise SpecValidationError(f"{family} truncation must be an integer from {least} "
+                                  f"to {sys.maxsize - 1}")
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     family: str
@@ -108,18 +117,14 @@ class FunctionSpec:
             lam = p.get("lambda", 0)
             if not _is_number(lam, numbers.Complex) or not 0 < abs(lam) < 1:
                 raise SpecValidationError("blaschke needs 0 < |lambda| < 1")
-            trunc = p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION)
-            if not _is_number(trunc, numbers.Integral) or trunc < 1:
-                raise SpecValidationError("blaschke truncation must be an integer >= 1")
+            _check_truncation(p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION), 1, "blaschke")
             if self.backend == "exact":
                 raise SpecValidationError("blaschke is a truncated family; float only")
         elif self.family == "eta_family":
             eta = p.get("eta")
             if not _is_number(eta) or not _finite_float(eta) > 0:
                 raise SpecValidationError("eta_family needs a finite eta > 0")
-            trunc = p.get("truncation", ETA_DEFAULT_TRUNCATION)
-            if not _is_number(trunc, numbers.Integral) or trunc < 64:
-                raise SpecValidationError("eta_family truncation must be an integer >= 64")
+            _check_truncation(p.get("truncation", ETA_DEFAULT_TRUNCATION), 64, "eta_family")
             if self.backend == "exact":
                 raise SpecValidationError("eta_family is a truncated family; float only")
         elif self.family == "explicit":
@@ -128,54 +133,31 @@ class FunctionSpec:
                 raise SpecValidationError("explicit family needs nonempty coefficients")
 
 
-def _blaschke_blocks(lam: complex, length: int, size: int):
-    """Coefficients 0..length-1 of (lambda - z)/(1 - conj(lambda) z) =
-    lambda + (|lambda|^2 - 1) sum_{k>=1} conj(lambda)^(k-1) z^k, in blocks
-    of ``size``: one table of powers conj(lambda)^j, j < size, times one
-    scalar power per block.  Real for a real lambda.  Each block is
-    overwritten by the next."""
-    if not lam.imag:
-        lam = lam.real
-    c = lam.conjugate()
-    s = abs(lam) ** 2 - 1.0
-    table = c ** np.arange(min(size, length))
-    out = np.empty_like(table)
-    for lo in range(0, length, size):
-        m = min(size, length - lo)
-        if lo == 0:
-            out[0] = lam
-            np.multiply(table[: m - 1], s, out=out[1:m])
-        else:
-            np.multiply(table[:m], s * c ** (lo - 1), out=out[:m])
-        yield out[:m]
+def _one_minus_r(lam: complex) -> float:
+    """1 - |lambda|^2, correctly rounded: 1 minus the float square loses the
+    digits of |lambda| near 1."""
+    return float(1 - Fraction(lam.real) ** 2 - Fraction(lam.imag) ** 2)
 
 
-def _eta_blocks(eta: float, length: int, size: int):
-    """Coefficients a_0..a_{length-1} of (1+z)/(1-z)^eta, in blocks of
-    ``size``: a_k = g_k + g_{k-1} for the coefficients g_k of (1-z)^(-eta),
-    g_0 = 1 and g_k = g_{k-1} ((eta+k)-1)/k, g_{-1} = 0.  The running
-    product is carried from block to block in the order of one cumprod
-    over all k, so the coefficients do not depend on ``size``.  Each
-    block is overwritten by the next."""
-    size = min(size, length)
-    steps = np.arange(size, dtype=np.float64)
-    k, g, out = np.empty(size), np.empty(size + 1), np.empty(size)
-    for lo in range(0, length, size):
-        m = min(size, length - lo)
-        # g[0] = g_{lo-1} (0 at first, else carried), g[1:] = g_lo .. g_{hi-1}
-        g[0] = g[size] if lo else 0.0
-        r = g[1 + (lo == 0): m + 1]  # the ratios, for k >= 1
-        kr = np.add(steps[: len(r)], lo + m - len(r), out=k[: len(r)])
-        np.add(kr, eta, out=r)
-        np.subtract(r, 1.0, out=r)
-        np.divide(r, kr, out=r)
-        if lo == 0:
-            g[1] = 1.0
-        else:
-            g[1] *= g[0]
-        with np.errstate(over="ignore"):  # the float Gram check reports it
-            np.cumprod(g[1: m + 1], out=g[1: m + 1])
-        yield np.add(g[1: m + 1], g[:m], out=out[:m])
+def _blaschke_coefficients(lam: complex, m: int) -> np.ndarray:
+    """Coefficients 0..m-1 of (lambda - z)/(1 - conj(lambda) z) =
+    lambda + (|lambda|^2 - 1) sum_{k>=1} conj(lambda)^(k-1) z^k; real for
+    a real (float) lambda."""
+    return np.append(lam, -_one_minus_r(lam) * lam.conjugate() ** np.arange(m - 1))
+
+
+@np.errstate(over="ignore")   # the float Gram check reports it
+def _eta_coefficients(eta: float, m: int) -> np.ndarray:
+    """Coefficients a_0..a_{m-1} of (1+z)/(1-z)^eta: a_k = g_k + g_{k-1}
+    for the coefficients g_k of (1-z)^(-eta), g_0 = 1 and g_k = g_{k-1}
+    ((eta+k)-1)/k, g_{-1} = 0, as one cumprod."""
+    k = np.arange(1.0, m)
+    g = np.empty(m + 1)   # g_{-1}, g_0, ..., g_{m-1}
+    g[:2] = 0.0, 1.0
+    r = g[2:]   # the ratios, in place: a head may have 2^24 of them
+    np.divide(np.subtract(np.add(k, eta, out=r), 1.0, out=r), k, out=r)
+    np.cumprod(g[1:], out=g[1:])
+    return g[1:] + g[:-1]
 
 
 def _exp(x: float) -> float:
@@ -218,33 +200,46 @@ def _blaschke_tail_sq(lam: complex, K: int, alpha) -> float:
     return _exp(top + math.log(np.exp(logs - top).sum()))
 
 
-#: Below 2^-1080 a coefficient of the Blaschke factor is 0.0 in floats,
-#: with room for the rounding of the powers that make it up (2^-1075 is
-#: half the smallest subnormal).
-_LOG_FLOAT_ZERO = -1080 * math.log(2)
+#: The log of half the smallest subnormal: exp(x) is 0.0 in floats below it.
+_LOG_EXP_ZERO = math.log(math.ulp(0.0)) - math.log(2)
+
+#: Terms per piece of the Blaschke far part's weighted geometric sum at
+#: most, so that its memory stays bounded when |lambda| is near 1.
+_GEOMETRIC_PIECE = 1 << 20
 
 
-#: Zero coefficients the Blaschke stop keeps past the last one that may
-#: not be 0.0.  The pass then ends on rows of zero products, as the full
-#: pass does, so kernels that finish their unrolled loops on the last rows
-#: sum its nonzero rows in the same order: with no margin, lambda = 1e-40
-#: at n = 10 changed the last bit of entries; with it, the stopped and the
-#: full pass agreed byte for byte in 616 of 616 checks (OpenBLAS 0.3.31,
-#: Haswell kernels).  Another BLAS may order its sums otherwise.
-_BLASCHKE_ZERO_MARGIN = 64
-
-
+@np.errstate(over="ignore", invalid="ignore")   # the float Gram check reports it
 def _blaschke_split(lam: complex, length: int, n: int, alpha: float):
-    """The float Gram pass over a Blaschke factor stops where its
-    coefficients |b_j| = (1-|lambda|^2) |lambda|^(j-1) are 0.0 in floats:
-    at J + n rows, or J at alpha = 0, whose lags read no row past the
-    series, for J _BLASCHKE_ZERO_MARGIN past the first index from which
-    every |b_j| <= 2^-1080."""
-    J = 1 + _BLASCHKE_ZERO_MARGIN + math.ceil(
-        (_LOG_FLOAT_ZERO - math.log1p(-abs(lam) ** 2)) / math.log(abs(lam)))
-    if J >= length:
+    """The float Gram pass over b_0..b_M, M = length - 1 > n, of a Blaschke
+    factor sums the rows m <= n and takes the rest from here.  Every row
+    m > n is geometric, (b_m, ..., b_{m-n}) = s c^(m-n-1) (c^n, ..., c, 1)
+    for c = conj(lambda) and s = |lambda|^2 - 1, so the rows m > n add
+    F_kl = s^2 c^(n-k) conj(c)^(n-l) T_{M-n-1+min(k,l)}, with the weighted
+    geometric series T_i = sum_{j<=i} (j+n+2)^alpha r^j, r = |lambda|^2.
+    At alpha = 0 only the lags F_k0 are needed, and T_i = (1 - r^(i+1)) /
+    (1 - r); elsewhere T is summed pairwise, in pieces, up to the first r^j
+    that is 0.0 in floats.  No far part when M <= n."""
+    M = length - 1
+    if M <= n:
         return None
-    return J + (0 if alpha == 0 else n), None
+    c, d = lam.conjugate(), _one_minus_r(lam)
+    # log r, from 1 - r where r is near 1 and from |lambda| where it is small
+    log_r = math.log1p(-d) if d < 0.5 else 2 * math.log(abs(lam))
+    p = c ** np.arange(n, -1, -1)   # c^(n-k)
+    if alpha == 0:
+        T = math.expm1((M - n) * log_r) / math.expm1(log_r)
+        return n + 1, d * d * T * np.conj(c) ** n * p
+
+    def terms(j):
+        return (j + (n + 2.0)) ** alpha * np.exp(j * log_r)
+
+    last = M - n - 1
+    count = min(last + 1, math.floor(_LOG_EXP_ZERO / log_r) + 1)
+    T = sum(np.sum(terms(np.arange(lo, min(lo + _GEOMETRIC_PIECE, count), dtype=np.float64)))
+            for lo in range(0, count, _GEOMETRIC_PIECE))
+    T = T + np.append(0.0, np.cumsum(terms(last + np.arange(1.0, n + 1))))
+    low = np.minimum.outer(np.arange(n + 1), np.arange(n + 1))
+    return n + 1, d * d * np.outer(p, np.conj(p)) * T[low]
 
 
 def _eta_in_space(eta: float, alpha) -> None:
@@ -361,11 +356,23 @@ def _eta_head(eta: float, n: int) -> int:
     return max(4096 + 64 * n, 8 * math.ceil(eta + 1) * math.ceil(eta + 3 + 2 * n))
 
 
+#: Rows an eta Gram pass may sum, in one array.  A head past it belongs
+#: to eta above about 1400, whose coefficients overflow before index 260,
+#: or to n above about 2.6e5, whose Gram matrix alone is past a terabyte.
+_ETA_MAX_HEAD = 1 << 24
+
+
 def _eta_split(eta: float, length: int, n: int, alpha: float):
     """The float Gram pass over an eta series longer than
     _eta_head(eta, n) + 1 sums its head and takes the rest from
-    :func:`_eta_far`."""
+    :func:`_eta_far`.  A ConditioningError when the head it would sum has
+    more than _ETA_MAX_HEAD rows."""
     K = _eta_head(eta, n)
+    if min(K, length) > _ETA_MAX_HEAD:
+        raise ConditioningError(
+            f"eta_family with eta = {eta:.6g} at n = {n} needs a Gram head of "
+            f"{min(K, length)} rows, past 2^24: its coefficients overflow the float "
+            "range (eta above about 1400) or its Gram matrix the memory (n above 2.6e5)")
     if length - 1 <= K:
         return None
     return K, _eta_far(eta, length, K, n, alpha)
@@ -373,9 +380,9 @@ def _eta_split(eta: float, length: int, n: int, alpha: float):
 
 def realize(spec: FunctionSpec) -> Series:
     """Materialize a FunctionSpec as a Series in its backend.  The
-    truncated families (Blaschke, eta) are float :class:`BlockSeries`
-    that generate their coefficients block by block and bound their own
-    tails."""
+    truncated families (Blaschke, eta) are float :class:`TruncatedSeries`
+    that give their coefficients on demand, their far parts in closed
+    form and bounds on their own tails."""
     p = spec.params
     if spec.family in ("one_minus_z_pow", "one_plus_z_pow"):
         N = p["N"]
@@ -387,13 +394,15 @@ def realize(spec: FunctionSpec) -> Series:
     if spec.family == "blaschke":
         M = int(p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION))
         lam = complex(p["lambda"])
-        return BlockSeries(M + 1, partial(_blaschke_blocks, lam),
-                           partial(_blaschke_tail_sq, lam), partial(_blaschke_split, lam))
+        lam = lam if lam.imag else lam.real   # a real factor runs in float64
+        return TruncatedSeries(M + 1, partial(_blaschke_coefficients, lam),
+                               partial(_blaschke_tail_sq, lam), partial(_blaschke_split, lam))
     if spec.family == "eta_family":
         M = int(p.get("truncation", ETA_DEFAULT_TRUNCATION))
         eta = float(p["eta"])
-        return BlockSeries(M + 1, partial(_eta_blocks, eta), partial(_eta_tail_sq, eta),
-                           partial(_eta_split, eta), partial(_eta_in_space, eta))
+        return TruncatedSeries(M + 1, partial(_eta_coefficients, eta),
+                               partial(_eta_tail_sq, eta), partial(_eta_split, eta),
+                               partial(_eta_in_space, eta))
     coeffs = p["coefficients"]
     if spec.backend == "exact":
         s = Series.exact(coeffs)

@@ -6,12 +6,12 @@ truncated analytic germ.  Two backends coexist:
 * ``exact`` -- a tuple of :class:`~optapprox.exact.ExactComplex`;
 * ``float`` -- a ``numpy`` array of ``complex128``.
 
-A long float series may instead be a :class:`BlockSeries`, whose
-coefficients a rule yields block by block (the truncated families of
-``families.py``); passes over :meth:`Series.blocks` never hold it whole,
-:meth:`Series.tail_sq` bounds the infinite tail it leaves out,
-:meth:`Series.require_in_space` refuses it where that tail diverges, and
-:meth:`Series.gram_split` says where a float Gram pass over it may stop.
+A truncated family of ``families.py`` is instead a
+:class:`TruncatedSeries`, whose coefficients a rule gives on demand: a
+float Gram pass reads only the short :meth:`Series.head` that
+:meth:`Series.gram_split` names and takes the rest of each entry from the
+family, :meth:`Series.tail_sq` bounds the infinite tail it leaves out,
+and :meth:`Series.require_in_space` refuses it where that tail diverges.
 
 All values are immutable after construction and every operation here is
 pure, so Series may be shared freely across threads.
@@ -120,16 +120,11 @@ class Series:
     def at0(self):
         return self.coeffs[0]
 
-    def blocks(self, size: int, stop: int | None = None):
-        """The float coefficients before index ``stop`` (all by default) in
-        consecutive blocks of ``size``, the last one shorter: float64
-        arrays when every coefficient is real, complex128 ones otherwise.
-        A block may be overwritten once the next one is asked for."""
-        c = self.coeffs[:stop]
-        if not c.imag.any():
-            c = c.real
-        for start in range(0, len(c), size):
-            yield c[start: start + size]
+    def head(self, m: int) -> np.ndarray:
+        """The first m float coefficients: a float64 array when they are
+        all real, a complex128 one otherwise."""
+        c = self.coeffs[:m]
+        return c if c.imag.any() else c.real
 
     def to_float(self) -> "Series":
         if self.backend == "float":
@@ -150,28 +145,23 @@ class Series:
 
     def gram_split(self, n: int, alpha: float):
         """Where the float Gram pass of degree n over this series may stop:
-        None to sum every row, or (K, far) to sum the rows m < K and add
-        ``far``, the rest of the sum as the series gives it (the matrix, or
-        at alpha = 0 the n+1 lags; None when it is 0)."""
+        None to sum every row, or (K, far) to sum the rows m < K, which read
+        the head of K coefficients, and add ``far``, the rest of the sum as
+        the series gives it (the matrix, or at alpha = 0 the n+1 lags)."""
         return None
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r}, backend={self.backend})"
 
 
-#: Coefficients per block when a BlockSeries is read whole.
-_READ_BLOCK = 1 << 14
-
-
-class BlockSeries(Series):
-    """A float series of ``length`` coefficients whose first m
-    ``rule(m, size)`` yields in blocks, with the dtype and block sizes of
-    :meth:`Series.blocks`; ``tail(K, alpha)`` bounds its tail as
-    :meth:`Series.tail_sq`, ``split(length, n, alpha)`` answers
-    :meth:`Series.gram_split`, and ``space(alpha)``, when given, is
-    :meth:`Series.require_in_space`.  ``coeffs`` is built, as complex128,
-    only when some code reads it; ``len``, ``backend``, ``at0`` and
-    ``is_zero`` never build it."""
+class TruncatedSeries(Series):
+    """A float series of ``length`` coefficients that stands for a function
+    with more: ``rule(m)`` gives its first m, as :meth:`Series.head` does;
+    ``tail(K, alpha)`` bounds its tail as :meth:`Series.tail_sq`,
+    ``split(length, n, alpha)`` answers :meth:`Series.gram_split`, and
+    ``space(alpha)``, when given, is :meth:`Series.require_in_space`.
+    ``coeffs`` is built, as complex128, only when some code reads it;
+    ``len``, ``backend``, ``at0`` and ``is_zero`` never build it."""
 
     def __init__(self, length: int, rule, tail, split, space=None):
         object.__setattr__(self, "_length", length)
@@ -182,11 +172,7 @@ class BlockSeries(Series):
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        out = np.empty(self._length, dtype=np.complex128)
-        start = 0
-        for block in self.blocks(_READ_BLOCK):
-            out[start: start + len(block)] = block
-            start += len(block)
+        out = self._rule(self._length).astype(np.complex128)
         out.setflags(write=False)
         return out
 
@@ -195,11 +181,11 @@ class BlockSeries(Series):
     def __len__(self):
         return self._length
 
-    def blocks(self, size: int, stop: int | None = None):
-        return self._rule(self._length if stop is None else min(stop, self._length), size)
+    def head(self, m: int) -> np.ndarray:
+        return self._rule(min(m, self._length))
 
     def at0(self):
-        return np.complex128(next(self.blocks(1))[0])
+        return np.complex128(self.head(1)[0])
 
     def tail_sq(self, K: int, alpha) -> float:
         return self._tail(K, alpha)
@@ -214,10 +200,10 @@ class BlockSeries(Series):
     @property
     def is_zero(self) -> bool:
         # the degree is -1 exactly when every coefficient is 0
-        return self.at0() == 0 and not any(b.any() for b in self.blocks(_READ_BLOCK))
+        return self.at0() == 0 and not self.head(self._length).any()
 
     def __repr__(self):
-        return f"BlockSeries(length={self._length}, rule={self._rule!r})"
+        return f"TruncatedSeries(length={self._length}, rule={self._rule!r})"
 
 
 def _check_same_backend(p: Series, q: Series) -> str:

@@ -9,16 +9,15 @@ alpha, so that every weight (k+1)^alpha stays rational.
 the form ``linsolve.factor`` takes, and every consumer reads that form,
 Levinson's alpha = 0 column included.  The float one is one blocked
 matrix product F^H W F over the coefficients, or at alpha = 0 the n+1
-lags of its Toeplitz column, summed in one pass over the blocks of the
-series: a truncated family is generated inside the pass and never held
-whole, and it says where the pass may stop (``Series.gram_split``).  A
-Blaschke factor stops where its coefficients become 0.0 in floats;
-the eta family sums a head of a few thousand rows and gives the rest of
-each entry in closed form, so its cost does not grow with the
-truncation.  The exact one is the band of its integer numerators over
-one common denominator.  :func:`truncation_error` bounds how far the
-matrix of a truncated family lies from that of the function, by the
-family's own tail rule ``Series.tail_sq``, which refuses, as
+lags of its Toeplitz column, summed in one pass over blocks of rows.  A
+truncated family is a short head plus its own far part
+(``Series.gram_split``): the pass sums the rows of the head, n+1 of them
+for a Blaschke factor and a few thousand for the eta family, and the
+family gives the rest of each entry in closed form, so the cost does not
+grow with the truncation.  The exact one is the band of its integer
+numerators over one common denominator.  :func:`truncation_error` bounds
+how far the matrix of a truncated family lies from that of the function,
+by the family's own tail rule ``Series.tail_sq``, which refuses, as
 ``Series.require_in_space`` does, a function outside D_alpha.
 
 :func:`inner` is the one reference inner product, with one float and one
@@ -33,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,20 +123,22 @@ TINY = np.finfo(float).tiny
 
 @np.errstate(over="ignore", invalid="ignore")  # reported below
 def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
-    """The float :func:`gram_matrix`, from one pass over the blocks of f.
-    A ConditioningError when an entry overflows, or when every entry is
-    below TINY without all being 0 (a zero matrix is left to the solvers'
-    pivot checks)."""
+    """The float :func:`gram_matrix`, from one pass over blocks of rows of
+    the head of f.  A ConditioningError when an entry overflows, or when
+    every entry is below TINY without all being 0 (a zero matrix is left to
+    the solvers' pivot checks)."""
     alpha = float(alpha)
     lags = alpha == 0
     rows, far = f.gram_split(n, alpha) or (len(f) + (0 if lags else n), None)
-    blocks = f.blocks(_GRAM_BLOCK, rows)
-    first = next(blocks)
-    blocks, dtype = chain([first], blocks), first.dtype
+    head = f.head(rows)
+    dtype = head.dtype
+    # f_{-n}, ..., f_{rows-1}, zero outside the head: row m of F reads
+    # pad[m: m + n + 1], reversed
+    pad = np.zeros(n + rows, dtype)
+    pad[n: n + len(head)] = head
     # the work arrays of one block, reused from block to block: fresh ones
     # cost page faults, which tripled the time of a pass at n = 8
-    size = min(max(_GRAM_BLOCK, n), rows)
-    seg = np.zeros(size + n, dtype=dtype)
+    size = min(_GRAM_BLOCK, rows)
     if lags:
         conj = np.empty(size, dtype)
     else:
@@ -146,23 +146,19 @@ def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
         w = np.empty(size)
         A, C = np.empty((n + 1, size), dtype), np.empty((n + 1, size), dtype)
     acc = np.zeros(n + 1 if lags else (n + 1, n + 1), dtype=dtype)
-    L = 0
     for start in range(0, rows, _GRAM_BLOCK):
         # rows m = start..start+L-1, from f_{start-n} .. f_{start+L-1}
-        seg[:n] = seg[L: L + n]
         L = min(_GRAM_BLOCK, rows - start)
-        block = next(blocks, seg[:0])
-        seg[n: n + len(block)] = block
-        seg[n + len(block): n + L] = 0
+        seg = pad[start: start + n + L]
         # F's rows are held transposed, so that every elementwise pass runs
         # along the series: Ft[k] = (f_{start-k}, ..., f_{start+L-1-k})
-        Ft = sliding_window_view(seg[: n + L], L)[::-1]
+        Ft = sliding_window_view(seg, L)[::-1]
         if lags:
             # conj(r_k) += sum_m conj(f_m) f_{m-k}, by einsum: as a BLAS
             # matrix-vector product it goes to worker threads, and pieces
             # of 31 x 2114 took up to 70 ms there, against 1 ms for the
             # whole block by einsum (2 vCPUs)
-            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n: n + L], out=conj[:L]))
+            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n:], out=conj[:L]))
         else:
             np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
             _product(np.multiply(Ft, w[:L], out=A[:, :L]),
@@ -193,11 +189,11 @@ def gram_matrix(f: Series, n: int, alpha):
     Float backend: one product M = F^H W F, where row m of F holds
     (f_m, f_{m-1}, ..., f_{m-n}) and W = diag((m+1)^alpha).  F is a
     reversed sliding window over the zero-padded coefficients, and the
-    product is accumulated over blocks of rows taken from
-    ``f.blocks(_GRAM_BLOCK)``, so memory does not grow with the series
-    length, and a BlockSeries is generated inside the pass.  The series
-    may stop the pass early, ``f.gram_split(n, alpha)``, and add the rows
-    past the stop as it sums them itself.  Real
+    product is accumulated over blocks of _GRAM_BLOCK rows, so that its
+    temporaries do not grow with the series length.  A truncated family
+    stops the pass after a head, ``f.gram_split(n, alpha)``, and adds the
+    rows past it as it sums them itself, so the pass reads only
+    ``f.head(K)``.  Real
     coefficients (the eta family, say) run in float64.  At alpha = 0 the
     matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
     n+1 lags r_j = sum_m f_m conj(f_{m-j}), with r_0 real: O(M n) instead

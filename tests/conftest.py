@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,25 @@ def eta_fixed_point(eta: float, length: int) -> list:
     for k in range(1, length):
         g.append(g[-1] * ((k - 1) * den + num) // (k * den))
     return g[:1] + [x + y for x, y in zip(g[1:], g)]
+
+
+def blaschke_fixed_point(lam: complex, length: int) -> np.ndarray:
+    """b_0..b_{length-1} of (lambda - z)/(1 - conj(lambda) z) for the float
+    lambda: b_0 = lambda and b_j = s c^(j-1) for the exact s = |lambda|^2 - 1
+    and c = conj(lambda), with the parts of c^j in integer steps scaled by
+    2^FIXED_BITS, each floored, then rounded to complex128.  Each b_j is
+    off by fewer than 2 j units of 2^-FIXED_BITS before that rounding."""
+    a, b = Fraction(lam.real), Fraction(lam.imag)
+    D = math.lcm(a.denominator, b.denominator)
+    cr, ci = int(a * D), int(-b * D)            # c = (cr + i ci) / D
+    s = a * a + b * b - 1
+    one = 1 << FIXED_BITS
+    out, (pr, pi) = [complex(lam)], (one, 0)    # c^0
+    for _ in range(length - 1):
+        out.append(complex(s.numerator * pr // s.denominator / one,
+                           s.numerator * pi // s.denominator / one))
+        pr, pi = (pr * cr - pi * ci) // D, (pr * ci + pi * cr) // D
+    return np.array(out)
 
 
 def frac(s):

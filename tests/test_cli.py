@@ -301,6 +301,18 @@ def test_non_finite_float_spec_is_validation_error(capsys, command, spec):
     assert json.loads(err)["error"] == "SpecValidationError"
 
 
+@pytest.mark.parametrize("family, truncation", [
+    ("blaschke", 10 ** 19), ("eta_family", 10 ** 19), ("eta_family", 2 ** 63 - 1)])
+def test_truncation_past_an_index_is_validation_error(capsys, family, truncation):
+    # a series of truncation + 1 coefficients must have a length len() can return
+    params = {"lambda": 0.5} if family == "blaschke" else {"eta": 0.3}
+    spec = json.dumps({"family": family, "params": {**params, "truncation": truncation}})
+    code, out, err = run(capsys, "first-zero", "--backend", "float", "--f", spec)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SpecValidationError" and "truncation" in payload["message"]
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_zero_denominator_string_is_validation_error(capsys, backend):
     code, _, err = run(capsys, "approximant", "--n", "1", "--backend", backend,
@@ -375,10 +387,19 @@ def test_blaschke_tail_where_its_ratio_exponent_overflows(capsys, command, lam, 
     (("first-zero", "--alpha", "60", "--f",
       '{"family":"eta_family","params":{"eta":0.5,"truncation":10000000}}'),
      "ConditioningError", "spaces"),
-], ids=["solve-conditioning", "gram-overflow", "far-part-overflow"])
+    (("first-zero", "--alpha=-2e4", "--f",
+      '{"family":"eta_family","params":{"eta":1e4,"truncation":1000000000}}'),
+     "ConditioningError", "families"),
+    (("approximant", "--n", "500000000", "--alpha", "1", "--f", '{"coefficients":[1,0.5]}'),
+     "MemoryError", "spaces"),
+], ids=["solve-conditioning", "gram-overflow", "far-part-overflow", "eta-head-limit",
+        "out-of-memory"])
 def test_error_names_the_module_that_raised_it(capsys, argv, error, module):
     # the condition check of the float solve and the float Gram check, also
-    # where only the eta far part past the summed head overflows
+    # where only the eta far part past the summed head overflows; an eta
+    # head past 2^24 rows; and a Gram pass at n = 5e8, whose work arrays
+    # (60 TiB) and matrix (2e18 bytes) no machine allocates, and which
+    # writes to no large array before them
     code, out, err = run(capsys, *argv, "--backend", "float")
     assert code == 3 and out == ""
     payload = json.loads(err)

@@ -5,6 +5,7 @@ independent exact solve, and a truncated family reports a nonnegative
 tail, or is refused where it lies outside D_alpha.  And scaling
 f by c scales p_n by 1/c and keeps its zeros, however far c is from 1."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -136,34 +137,51 @@ def test_exact_spec_contract(coeffs, alpha, n, command):
 
 @st.composite
 def family_specs(draw):
-    """A float eta or Blaschke spec, with its eta (None for Blaschke)."""
-    truncation = draw(st.integers(64, 5000))
+    """A float eta or Blaschke spec, with its eta (None for Blaschke).  A
+    Blaschke truncation may be below n, where its Gram pass sums every row."""
     if draw(st.booleans()):
         eta = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 2.0)))
+        truncation = draw(st.integers(64, 5000))
         return {"family": "eta_family", "params": {"eta": eta, "truncation": truncation}}, eta
+    truncation = draw(st.one_of(st.integers(1, 45), st.integers(1, 5000)))
     modulus = draw(st.one_of(st.floats(1e-3, 0.999), st.just(1e-200)))   # |lambda|^2 underflows
     lam = modulus * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
     return {"family": "blaschke", "params": {"lambda": {"re": lam.real, "im": lam.imag},
                                              "truncation": truncation}}, None
 
 
-TAIL_COMMANDS = {
-    "approximant": lambda n: ("--n", str(n)),
-    "zeros": lambda n: ("--n-range", f"0..{n}"),
-    "first-zero": lambda n: (),
-    "cyclicity": lambda n: ("--max-n", str(n)),
+def disk_point(draw):
+    """A point of the open unit disk, as --z and --w take it."""
+    z = cmath.rect(draw(st.floats(0, 0.999)), draw(st.floats(-np.pi, np.pi)))
+    return f"{z.real!r},{z.imag!r}"
+
+
+FAMILY_COMMANDS = {
+    "approximant": lambda n, draw: ("--n", str(n)),
+    "zeros": lambda n, draw: ("--n-range", f"0..{n}"),
+    "first-zero": lambda n, draw: (),
+    "cyclicity": lambda n, draw: ("--max-n", str(n)),
+    "orthopoly": lambda n, draw: ("--n", str(n)),
+    "kernel": lambda n, draw: ("--n", str(n), f"--z={disk_point(draw)}",
+                               f"--w={disk_point(draw)}"),
+    "levinson": lambda n, draw: ("--n", str(n)),
 }
 
 
 @settings(max_examples=80, deadline=None)
 @given(family_specs(), st.sampled_from([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
-       st.integers(0, 12), st.sampled_from(sorted(TAIL_COMMANDS)))
-def test_float_family_spec_contract(spec, alpha, n, command):
+       st.integers(0, 40), st.sampled_from(sorted(FAMILY_COMMANDS)), st.data())
+def test_float_family_spec_contract(spec, alpha, n, command, data):
     # eta lies in D_alpha only when alpha + 2 eta < 1; every command refuses
-    # it elsewhere, and the ones that report a tail report a nonnegative one
+    # it elsewhere, and the ones that report a tail report a nonnegative
+    # one.  Levinson runs at alpha = 0 only
     spec, eta = spec
-    code, out, err = run(command, "--backend", "float", "--f", json.dumps(spec),
-                         f"--alpha={alpha}", *TAIL_COMMANDS[command](n))
+    argv = FAMILY_COMMANDS[command](n, data.draw)
+    if command == "levinson":
+        alpha = 0.0
+    else:
+        argv += (f"--alpha={alpha}",)
+    code, out, err = run(command, "--backend", "float", "--f", json.dumps(spec), *argv)
     assert code in (0, 2, 3, 4)
     if code:
         assert out == ""

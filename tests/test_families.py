@@ -81,21 +81,17 @@ class TestBlockRules:
         FunctionSpec("blaschke", {"lambda": -0.7, "truncation": 5000}, "float"),
     ], ids=["eta", "blaschke-complex", "blaschke-real"])
     def test_blocks_join_into_the_coefficients(self, spec):
+        # a head of m coefficients is the first m of the series
         f = realize(spec)
         # len, backend, at0 and is_zero read no coefficient array
         assert (len(f), f.backend, f.is_zero) == (5001, "float", False)
         assert f.at0() == (1.0 if spec.family == "eta_family" else spec.params["lambda"])
         assert "coeffs" not in vars(f)
         real = spec.family == "eta_family" or not complex(spec.params["lambda"]).imag
-        for size in (1, 7, 4096, 10 ** 4):
-            blocks = [b.copy() for b in f.blocks(size)]
-            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-            assert all(b.dtype == (np.float64 if real else np.complex128) for b in blocks)
-            joined = np.concatenate(blocks)
-            if spec.family == "eta_family":   # the running product is carried exactly
-                assert np.array_equal(joined, f.coeffs)
-            else:   # a scalar power times a table of powers; |coefficients| <= 1
-                np.testing.assert_allclose(joined, f.coeffs, rtol=0, atol=1e-13)
+        for m in (1, 7, 4096, 5001, 10 ** 4):
+            head = f.head(m)
+            assert head.dtype == (np.float64 if real else np.complex128)
+            assert np.array_equal(head, f.coeffs[:m])
 
     def test_blaschke_coefficients(self):
         lam, M = 0.6 + 0.7j, 3000

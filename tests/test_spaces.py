@@ -1,5 +1,6 @@
 """Inner products, norms, shifted inner products and Gram assembly."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from optapprox import families
 from optapprox.families import _eta_head
 from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero, _product
 
-from conftest import FIXED_BITS, eta_fixed_point, random_poly
+from conftest import FIXED_BITS, blaschke_fixed_point, eta_fixed_point, random_poly
 
 
 class TestInner:
@@ -220,13 +221,21 @@ def assert_entries_close(G, R):
     assert np.all(np.abs(G - R) <= 1e-13 * np.sqrt(np.outer(d, d)))
 
 
+def shifted_inner_gram(f, n, alpha):
+    # every entry from one shifted_inner: a pairwise sum over every row
+    R = np.empty((n + 1, n + 1), dtype=np.complex128)
+    for k in range(n + 1):
+        for l in range(k, n + 1):
+            R[k, l] = shifted_inner(f, k, l, alpha)
+            R[l, k] = np.conj(R[k, l])
+    return R
+
+
 def assert_gram_matches_shifted_inner(f, n, alpha, ref=None):
     # ref: the series of f's function to read the inner products from
     ref = f if ref is None else ref
     G = gram_matrix(f, n, alpha)
-    R = np.array([[shifted_inner(ref, k, l, alpha) for l in range(n + 1)]
-                  for k in range(n + 1)])
-    assert_entries_close(G, R)
+    assert_entries_close(G, shifted_inner_gram(ref, n, alpha))
     assert G.dtype == np.complex128 and not G.flags.writeable
     assert np.array_equal(G, G.conj().T)
     assert np.all(G.diagonal().imag == 0)
@@ -373,79 +382,106 @@ def test_gram_numerators_need_the_exact_backend():
         gram_matrix(Series.exact([1, 1]), 2, 0.5)
 
 
-# -- one pass over a block-generated series, and the bound on its tail -------
+# -- a truncated family: its head, its far part and the bound on its tail ----
 
 @pytest.mark.parametrize("kind", ["eta", "blaschke"])
 @pytest.mark.parametrize("length", [4000, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
                                     2 * _GRAM_BLOCK + 3])
 def test_block_series_gram_matches_stored(kind, length):
     # the eta family is real, the Blaschke factor complex.  Past its head
-    # an eta entry takes the rest of its sum from _eta_far, within 2e-15 of
-    # a 28-digit sum (TestEtaFarPart), so it is held to the coefficients
-    # of the function correctly rounded: the stored ones, a running float
-    # product, drift from those by up to 8e-13 relative at 3.3e4, and an
-    # entry at alpha = 1 with them.  Elsewhere the pass is the one over the
-    # stored series, byte for byte
-    f = (eta_series(0.7, length - 1) if kind == "eta"
-         else blaschke_series(0.9995 * np.exp(0.4j), length - 1))
-    stored = Series.from_complex(np.asarray(f.coeffs))
+    # an entry takes the rest of its sum in closed form: for eta within
+    # 2e-15 of a 28-digit sum (TestEtaFarPart), so it is held to the
+    # coefficients of the function correctly rounded: the stored ones, a
+    # running float product, drift from those by up to 8e-13 relative at
+    # 3.3e4, and an entry at alpha = 1 with them.  A Blaschke factor is held
+    # to a sum over every row of its coefficients in fixed point; an eta
+    # series within its head is the pass over the stored series, byte for
+    # byte
     if kind == "eta":
+        f = eta_series(0.7, length - 1)
+        stored = Series.from_complex(np.asarray(f.coeffs))
         exact = Series.from_complex([a / (1 << FIXED_BITS) for a in eta_fixed_point(0.7, length)])
-    for n in (0, 1, 6, 30):
-        for alpha in (-1.5, 0, 1):
+    else:
+        lam = 0.9995 * np.exp(0.4j)
+        f = blaschke_series(lam, length - 1)
+        exact = Series.from_complex(blaschke_fixed_point(lam, length))
+    for alpha in (-1.5, 0, 1):
+        R = shifted_inner_gram(exact, 30, alpha) if kind == "blaschke" else None
+        for n in (0, 1, 6, 30):
             G = gram_matrix(f, n, alpha)
-            far = kind == "eta" and length - 1 > _eta_head(0.7, n)
-            if far:
+            if kind == "blaschke":
+                assert_entries_close(G, R[:n + 1, :n + 1])
+            elif length - 1 > _eta_head(0.7, n):
                 assert_entries_close(G, gram_matrix(exact, n, alpha))
+                if n in (1, 30) and length > _GRAM_BLOCK:
+                    assert_gram_matches_shifted_inner(f, n, alpha, exact)
             else:
                 assert np.array_equal(G, gram_matrix(stored, n, alpha))
-            if n in (1, 30) and length > _GRAM_BLOCK:
-                assert_gram_matches_shifted_inner(f, n, alpha, exact if far else f)
 
 
-@pytest.mark.parametrize("lam", [0.3, -0.95, 0.6 - 0.5j, 0.2j, 1e-40, 2e-20j])
-def test_blaschke_pass_stops_at_its_last_nonzero_coefficient(lam):
-    # past J(lambda) every coefficient is 0.0 in floats; the pass stops
-    # there, and its matrices are those of the factor cut at J(lambda),
-    # byte for byte (the same rows through the same kernels), and within
-    # rounding of the pass over the whole stored series.  That they are
-    # also byte-identical to the latter (616 of 616 checks with OpenBLAS
-    # 0.3.31 on Haswell kernels, owing to _BLASCHKE_ZERO_MARGIN) depends on
-    # how the BLAS orders its sums, so it is not asserted.  At 1e-40 only
-    # f_0..f_9 are nonzero, fewer than n + 1 at n = 10, and the rows up to
-    # J + n - 1 still hold their products
-    f = blaschke_series(lam, 10 ** 5)
-    J = f.gram_split(0, 0)[0]
-    c = np.asarray(f.coeffs)
-    # J is 64 zeros past 2^-1080, within six halvings of |b_j| of the
-    # smallest subnormal, 2^-1074
-    halving = np.log(2) / -np.log(abs(lam))
-    assert not c[J - 64:].any() and np.flatnonzero(c)[-1] >= J - 66 - 6 * halving
-    cut, stored = blaschke_series(lam, J - 1), Series.from_complex(c)
-    for n in (10, 25, 30):
-        for alpha in (-1, 0, 0.5):
-            G = gram_matrix(f, n, alpha)
-            assert G.tobytes() == gram_matrix(cut, n, alpha).tobytes()
-            assert_entries_close(G, gram_matrix(stored, n, alpha))
+@pytest.mark.parametrize("lam", [0.3, -0.95, 0.6 - 0.5j, 0.2j, 1e-40, 2e-20j,
+                                 pytest.param(0.9995 * np.exp(0.4j), id="0.9995e^0.4j")])
+def test_blaschke_far_part_matches_a_sum_over_every_row(lam):
+    # the pass sums the rows m <= n and the rows past n in closed form;
+    # held to a sum over every row of the coefficients in fixed point, at
+    # truncations below and above n.  At alpha = 0 the factor is inner: the
+    # Gram matrix of the function is the identity, from which that of the
+    # truncation lies within truncation_error, and the pass within rounding
+    for M in (3, 40, 6000):
+        f = blaschke_series(lam, M)
+        exact = Series.from_complex(blaschke_fixed_point(lam, M + 1))
+        for alpha in (-1, 0, 0.5, 1, 2):
+            R = shifted_inner_gram(exact, 10, alpha)
+            for n in (1, 6, 10):
+                G = gram_matrix(f, n, alpha)
+                assert_entries_close(G, R[:n + 1, :n + 1])
+                if alpha == 0:
+                    assert np.abs(G - np.eye(n + 1)).max() <= truncation_error(f, n, 0) + 1e-15
+
+
+def test_blaschke_dirichlet_gram_near_the_circle():
+    # at alpha = 1 the Gram matrix of a Blaschke factor is G_kk = k + 2 and
+    # G_kl = conj(lambda)^(l-k) for l > k (sum_i i |b_i|^2 = 1, and the rows
+    # past the first are geometric).  At |lambda| = 1 - 1e-4 the far part
+    # sums 3.7e6 terms, in pieces, and what lies past truncation 1e8 is 0.0
+    lam = (1 - 1e-4) * np.exp(0.3j)
+    k = np.arange(4)
+    d = k - k[:, None]
+    want = np.where(d > 0, np.conj(lam) ** np.abs(d), lam ** np.abs(d))
+    want[k, k] = k + 2
+    assert_entries_close(gram_matrix(blaschke_series(lam, 10 ** 8), 3, 1), want)
 
 
 @pytest.mark.parametrize("M", [10 ** 5, 10 ** 7, 10 ** 12])
 def test_eta_gram_cost_does_not_grow_with_the_truncation(monkeypatch, M):
-    # the pass generates the head of K = _eta_head(eta, n) coefficients, and the
-    # far part reads none
-    counted, eta_blocks = [], families._eta_blocks
-
-    def counting_blocks(*args):
-        for block in eta_blocks(*args):
-            counted.append(len(block))
-            yield block
-
-    monkeypatch.setattr(families, "_eta_blocks", counting_blocks)
+    # the pass reads a head of K = _eta_head(eta, n) eta coefficients, or
+    # of n + 1 Blaschke ones, and the far parts read none
+    counted = []
+    for name in ("_eta_coefficients", "_blaschke_coefficients"):
+        def counting(*args, rule=getattr(families, name)):
+            counted.append(args[-1])
+            return rule(*args)
+        monkeypatch.setattr(families, name, counting)
     for n, alpha in ((1, -1), (8, 0), (30, 0.5)):
-        f = eta_series(0.3, M)
-        counted.clear()
-        G = gram_matrix(f, n, alpha)
-        assert np.isfinite(G).all() and sum(counted) <= _eta_head(0.3, n) + n + 1
+        for f, most in ((eta_series(0.3, M), _eta_head(0.3, n) + n + 1),
+                        (blaschke_series(0.99 * np.exp(2j), M), n + 1)):
+            counted.clear()
+            G = gram_matrix(f, n, alpha)
+            assert np.isfinite(G).all() and sum(counted) <= most
+
+
+def test_eta_head_past_its_limit_is_refused_in_bounded_memory():
+    # eta = 1e4 needs a head of 8e8 rows, whose coefficients overflow past
+    # index 260: refused before the head is built
+    f = eta_series(1e4, 10 ** 9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConditioningError, match="past 2\\^24"):
+            gram_matrix(f, 1, -2e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_non_finite_far_part_is_conditioning_error():
