@@ -10,8 +10,8 @@ rational arithmetic, so "equal" means equal.
 
 from fractions import Fraction
 
-from optapprox import (Series, cesaro_closed_form, distance,
-                       hardy_power_closed_form, optimal)
+from optapprox import (Series, cesaro_closed_form, hardy_power_closed_form,
+                       optimal)
 
 f = Series.exact([1, -1])
 
@@ -26,7 +26,7 @@ for n in range(5):
 
 print("\nSame function, other weights (alpha = -1 Bergman, 1 Dirichlet):")
 for alpha in (-1, 1):
-    ds = [distance(f, n, alpha) for n in range(6)]
+    ds = [optimal(f, n, alpha).distance_sq for n in range(6)]
     print(f"  alpha={alpha:+d}: d_n^2 = {[str(d) for d in ds]}")
 
 print("\nf = (1-z)^N at alpha = 0: Beta-ratio closed form vs direct solve")

@@ -9,10 +9,8 @@ kernels approach a closed-form limit kernel (for f = 1 the Bergman
 kernel (1 - conj(w) z)^(-2)).
 """
 
-import numpy as np
-
-from optapprox import (Series, basis, extremal_value, kernel_at_zero,
-                       kernel_eval, mccarthy_reference, optimal, poly_mul)
+from optapprox import (Series, approximant_via_ops, basis, extremal_value,
+                       kernel_eval_from_basis, optimal, poly_mul)
 
 f = Series.exact([1, -1])
 bas = basis(f, 3, 0)
@@ -23,19 +21,20 @@ for k, (psi, s) in enumerate(zip(bas.monic, bas.norms_sq)):
 print(f"  |phi_k(0)|^2 = {[str(bas.phi_zero_sq(k)) for k in range(4)]} "
       f"(sums to 1 - d_n^2)")
 
-k10 = kernel_at_zero(f, 1, 0)
+# K_1(z, 0) from the basis: conj(f(0)) sum_k conj(phi_k(0)) phi_k(z), times f(z)
+k10 = poly_mul(approximant_via_ops(f, 1, 0), f)
 p1f = poly_mul(optimal(f, 1, 0).p, f)
 assert tuple(k10.coeffs) == tuple(p1f.coeffs)
 print(f"\nK_1(z, 0) = p_1(z) f(z) = [{', '.join(str(c.re) for c in k10.coeffs)}]")
 print(f"extremal value sup |g(0)| over unit-ball g in f*P_1: "
-      f"{extremal_value(f, 1, 0):.6f} = sqrt(2/3)")
+      f"{extremal_value(basis(f, 1, 0)):.6f} = sqrt(2/3)")
 
 print("\nBergman-space kernels for f = 1 approach the Bergman kernel:")
 one = Series.from_complex([1.0])
 z = 0.5 + 0.2j
-ref = mccarthy_reference(one, -1, z, z)
+ref = 1.0 / (1.0 - abs(z) ** 2) ** 2
 for n in (2, 5, 10, 20):
-    val = kernel_eval(one, n, -1, z, z).value
+    val = kernel_eval_from_basis(basis(one, n, -1), z, z).value
     print(f"  n={n:>2}: K_n(z,z) = {val.real:.6f}   "
-          f"(limit (1-|z|^2)^-2 = {ref.real:.6f}, "
+          f"(limit (1-|z|^2)^-2 = {ref:.6f}, "
           f"gap {abs(val - ref):.2e})")

@@ -14,24 +14,19 @@ from .series import (DEGREE_EPSILON, Series, poly_add, poly_eval, poly_mul,
                      poly_sub, reflect, scale, shift)
 from .spaces import (gram_matrix, inner, norm_sq, shifted_inner,
                      truncation_error, weighted_inner)
-from .approximant import (ApproximantResult, EqualQuantities, distance,
-                          equal_quantities, optimal, optimal_sweep,
-                          pn0_via_determinants)
+from .approximant import (ApproximantResult, EqualQuantities,
+                          equal_quantities, optimal, optimal_sweep)
 from .orthopoly import (OrthonormalBasis, approximant_via_ops, basis,
-                        phi_abs_at_zero, phi_from_diff,
-                        szego_identity_residual)
+                        phi_from_diff, szego_identity_residual)
 from .kernels import (CyclicityReport, KernelEvaluation, cyclicity_report,
-                      extremal_value, kernel_at_zero, kernel_eval,
-                      mccarthy_reference)
+                      extremal_value, kernel_eval_from_basis)
 from .levinson import (LevinsonState, OuterCriterion, levinson_solve,
-                       outer_criterion_partial, reflection_coefficients,
-                       toeplitz_column)
+                       outer_criterion_partial, toeplitz_column)
 from .zeros import (NO_FINITE_ZERO, ZeroBoundCheck, ZeroSet,
                     first_zero, first_zero_with_tail, fixed_point_residual,
                     poly_roots, zero_bound_check)
 from .families import (FunctionSpec, cesaro_closed_form,
-                       hardy_power_closed_form, one_minus_z_reference,
-                       realize, spec_from_json)
+                       hardy_power_closed_form, realize, spec_from_json)
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

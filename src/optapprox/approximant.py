@@ -60,25 +60,6 @@ def optimal_sweep(f: Series, n_max: int, alpha):
     return _approximants(f, range(n_max + 1), alpha)
 
 
-def distance(f: Series, n: int, alpha):
-    """d_n^2 = dist^2_{D_alpha}(1, f * P_n) via Gram's Lemma
-    (1 - p_n(0) f(0)); nonincreasing in n."""
-    return optimal(f, n, alpha).distance_sq
-
-
-def pn0_via_determinants(f: Series, n: int, alpha):
-    """p_n(0) = conj(f(0)) det(M-hat) / det(M), where M-hat is the lower
-    right n x n minor of the Gram matrix."""
-    _f0_nonzero(f)
-    M = gram_matrix(f, n, alpha)
-    if f.backend == "exact":
-        minor = linsolve.IntegerMatrix(
-            tuple({j - 1: x for j, x in row.items() if j} for row in M.rows[1:]),
-            M.denominator, M.gaussian)
-        return f.at0().conjugate() * linsolve.det_exact(minor) / linsolve.det_exact(M)
-    return complex(np.conj(f.at0()) * np.linalg.det(M[1:, 1:]) / np.linalg.det(M))
-
-
 @dataclass(frozen=True)
 class EqualQuantities:
     """Six mutually equal expressions for the squared approximation
@@ -109,6 +90,7 @@ def equal_quantities(f: Series, n: int, alpha) -> EqualQuantities:
 
     _f0_nonzero(f)
     G = gram_matrix(f, n, alpha)
+    f.require_in_space(alpha)
     F = linsolve.factor(G)
     f0 = f.at0()
     f0_sq = abs_sq(f0)

@@ -228,14 +228,13 @@ def _cmd_kernel(args) -> int:
         f = f.to_float()
     bas = orthopoly.basis(f, args.n, args.alpha)
     ev = kernels.kernel_eval_from_basis(bas, z, w)
-    k00 = kernels.kernel_eval_from_basis(bas, 0j, 0j).value
     payload = {
         "alpha": args.alpha,
         "n": args.n,
         "z": {"re": z.real, "im": z.imag},
         "w": {"re": w.real, "im": w.imag},
         "value": serialize_scalar(ev.value),
-        "extremal_value_at_zero": math.sqrt(max(k00.real, 0.0)),
+        "extremal_value_at_zero": kernels.extremal_value(bas),
     }
     _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK

@@ -486,35 +486,6 @@ def cesaro_closed_form(n: int, alpha) -> Series:
     return Series.from_complex(tails[: n + 1] / total)
 
 
-def one_minus_z_reference(n: int, alpha, z, method: str = "auto"):
-    """Evaluate the 1/(1-z) approximant p_n at z via its quotient
-    representations:
-
-    * 'quotient': p_n(z) = (1 - S_z / S_1) / (1 - z) with
-      S_z = sum_{k=0}^{n+1} z^k / w(k) (any alpha, z != 1);
-    * 'hardy': p_n(z) = (z^{n+2} - (n+2) z + n + 1) / ((n+2)(1-z)^2)
-      (alpha = 0 only, z != 1).
-
-    z = 1 is a removable singularity of both quotients; the coefficient
-    form is used there instead.
-    """
-    from .series import poly_eval
-    from .errors import UnsupportedAlphaError
-
-    zc = complex(z)
-    if abs(zc - 1.0) < 1e-12:
-        return poly_eval(cesaro_closed_form(n, alpha).to_float(), zc)
-    if method == "hardy" or (method == "auto" and float(alpha) == 0.0):
-        if float(alpha) != 0.0:
-            raise UnsupportedAlphaError("the cubic-quotient form holds for alpha = 0")
-        return (zc ** (n + 2) - (n + 2) * zc + n + 1) / ((n + 2) * (1.0 - zc) ** 2)
-    w = np.arange(1, n + 3, dtype=np.float64) ** float(alpha)
-    powers = zc ** np.arange(n + 2)
-    s_z = np.sum(powers / w)
-    s_1 = np.sum(1.0 / w)
-    return (1.0 - s_z / s_1) / (1.0 - zc)
-
-
 def hardy_power_closed_form(N: int, n: int) -> Series:
     """Exact Hardy-space approximant to 1/(1-z)^N via Beta-function
     ratios: c_k = C(k+N-1, k) B(n+N+1, N) / B(n-k+1, N)."""

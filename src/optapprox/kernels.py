@@ -9,19 +9,14 @@ sum_k |phi_k(0)|^2 -> 1/|f(0)|^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from . import linsolve
-from .approximant import optimal
-from .errors import DegenerateError, UnsupportedAlphaError
 from .exact import abs_sq
-from .orthopoly import OrthonormalBasis, basis
-from .series import Series, poly_eval, poly_mul
+from .orthopoly import OrthonormalBasis
+from .series import Series, poly_eval
 from .spaces import _f0_nonzero, gram_matrix
 
 
@@ -32,17 +27,9 @@ class KernelEvaluation:
     value: object  # K_n(z, w); Hermitian: K_n(z,w) = conj(K_n(w,z))
 
 
-def kernel_eval(f: Series, n: int, alpha, z, w) -> KernelEvaluation:
-    """Evaluate K_n(z, w) from the orthonormal basis.
-
-    Uses the monic form: sum_k conj(psi_k(w)) psi_k(z) / s_k, times
-    f(z) conj(f(w)), so exact inputs give exact values.
-    """
-    bas = basis(f, n, alpha)
-    return kernel_eval_from_basis(bas, z, w)
-
-
 def kernel_eval_from_basis(bas: OrthonormalBasis, z, w) -> KernelEvaluation:
+    """K_n(z, w) in the monic form sum_k conj(psi_k(w)) psi_k(z) / s_k,
+    times f(z) conj(f(w)), so exact inputs give exact values."""
     f = bas.f
     z, w = f.scalar(z), f.scalar(w)
     acc = f.scalar(0)
@@ -52,37 +39,11 @@ def kernel_eval_from_basis(bas: OrthonormalBasis, z, w) -> KernelEvaluation:
     return KernelEvaluation(z, w, value)
 
 
-def kernel_at_zero(f: Series, n: int, alpha) -> Series:
-    """The polynomial K_n(z, 0) = p_n(z) f(z)."""
-    return poly_mul(optimal(f, n, alpha).p, f)
-
-
-def extremal_value(f: Series, n: int, alpha) -> float:
+def extremal_value(bas: OrthonormalBasis) -> float:
     """sqrt(K_n(0,0)): the largest |g(0)| over g in f * P_n with norm <= 1,
     attained by g = K_n(., 0)/sqrt(K_n(0,0))."""
-    k00 = kernel_eval(f, n, alpha, 0, 0).value
+    k00 = kernel_eval_from_basis(bas, 0, 0).value
     return math.sqrt(max(float(k00.real), 0.0))
-
-
-def mccarthy_reference(f: Series, alpha, z, w):
-    """Closed-form limit kernel of the weighted polynomial closure for
-    alpha < 0: (1 - conj(w) z)^(alpha - 1) / (conj(f(w)) f(z)).
-
-    Diagnostic target only; finite-n kernels converge to it for cyclic f
-    that are nice up to the boundary.  Principal branch of the power,
-    well-defined since Re(1 - conj(w) z) > 0 on the open bidisk.
-    """
-    if float(alpha) >= 0:
-        raise UnsupportedAlphaError("the reference kernel formula requires alpha < 0")
-    z, w = complex(z), complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
-        raise ValueError("the reference kernel is defined for |z| < 1, |w| < 1")
-    fz = complex(poly_eval(f.to_float(), z))
-    fw = complex(poly_eval(f.to_float(), w))
-    if fz == 0 or fw == 0:
-        raise DegenerateError("f vanishes at the evaluation point")
-    base = 1.0 - np.conj(w) * z
-    return complex(cmath.exp((float(alpha) - 1.0) * cmath.log(base)) / (np.conj(fw) * fz))
 
 
 @dataclass(frozen=True)

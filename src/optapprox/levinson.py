@@ -7,7 +7,8 @@ coefficients degree by degree together with the reflection coefficients
 Gamma_n, and the infinite product of (1 - |Gamma_n|^2) characterizes
 outer functions.  The column is column 0 of ``spaces.gram_matrix(f, n,
 0)``, the matrix every other solver factors: in floats, the n+1 lags of
-one streamed pass over f, so a truncated family is never held whole.
+one pass over f's head plus a truncated family's far part, so such a
+family is never held whole.
 
 The recursion is stated for f(0) = 1; general f is normalized to
 g = f / f(0) internally and the coefficients are rescaled afterwards
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BreakdownError, ConditioningError, DegenerateError
+from .errors import BreakdownError, ConditioningError
 from .exact import abs_sq
 from .series import Series
 from .spaces import TINY, _f0_nonzero, gram_matrix
@@ -32,6 +33,7 @@ def toeplitz_column(f: Series, n_max: int):
     Gram matrix follows via M_{k,l} = column[k-l] (conjugate for k < l).
     Float: a ConditioningError when it overflows."""
     G = gram_matrix(f, n_max, 0)
+    f.require_in_space(0)
     if f.backend == "float":
         return tuple(G[:, 0].tolist())
     return tuple(row[0] for row in G.to_exact())
@@ -66,7 +68,6 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     # (see approximant._approximants), so the recursion runs on the
     # conjugated autocorrelation column of g, which is f's over |f(0)|^2.
     autocorr = toeplitz_column(f, n)
-    f.require_in_space(0)
     f0_sq = abs_sq(f.at0())
     r = tuple(x.conjugate() / f0_sq for x in autocorr)
     if f.backend == "float" and not r[0].real * TINY < 1:
@@ -93,18 +94,6 @@ def levinson_solve(f: Series, n: int) -> LevinsonState:
     return LevinsonState(n=n, coeffs=f.like([ck * inv_f0 for ck in c]),
                          gammas=tuple(gammas), autocorr=autocorr,
                          g_history=tuple(history), inv_f0=inv_f0)
-
-
-def reflection_coefficients(state: LevinsonState):
-    """Gamma_n = -c_{n+1,n+1} / c_{0,n+1} recomputed from the per-degree
-    coefficient history; matches the gammas recorded during the recursion."""
-    out = []
-    for m in range(1, state.n + 1):
-        row = state.history[m]
-        if row[0] == 0:
-            raise DegenerateError(f"c_0 at degree {m} vanishes")
-        out.append(-(row[m] / row[0]))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

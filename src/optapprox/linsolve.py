@@ -174,15 +174,6 @@ def _quotient(x, d) -> ExactComplex:
     return ExactComplex(Fraction(x, d))
 
 
-def det_exact(M):
-    """Exact determinant: the last pivot of the elimination."""
-    A = _as_integer(M)
-    n = len(A.rows)
-    minors = _eliminate(_working_rows(A, A.gaussian), n,
-                        _GAUSSIAN if A.gaussian else _INTEGERS)
-    return _quotient(minors[n], A.denominator ** n)
-
-
 class _FloatFactor:
     def __init__(self, G: np.ndarray, b0):
         # G = U^H U; info > 0: the leading minor of order info is not positive

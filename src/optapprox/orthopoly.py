@@ -121,15 +121,6 @@ def phi_from_diff(p_n: Series, p_prev: Series, f0, phi_n_at_zero) -> Series:
     return scale(poly_sub(p_n, p_prev), 1 / (phi0.conjugate() * p_n.scalar(f0).conjugate()))
 
 
-def phi_abs_at_zero(p_n_at_zero, p_prev_at_zero, f0) -> float:
-    """|phi_n(0)| = sqrt((p_n(0) - p_{n-1}(0)) / conj(f(0)))."""
-    num = (complex(p_n_at_zero) - complex(p_prev_at_zero)) / np.conj(complex(f0))
-    if num.real < -1e-12 or abs(num.imag) > 1e-10 * (1 + abs(num)):
-        raise DegenerateError(f"(p_n(0)-p_prev(0))/conj(f0) = {num} is not a "
-                              "nonnegative real")
-    return math.sqrt(max(num.real, 0.0))
-
-
 def szego_identity_residual(f: Series, n: int, alpha=0) -> float:
     """Max coefficient deviation in the circle-case identity
     phi_n* = (1/A_n) sum_k conj(phi_k(0)) phi_k (alpha = 0 only).

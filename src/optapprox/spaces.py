@@ -193,13 +193,12 @@ def gram_matrix(f: Series, n: int, alpha):
     temporaries do not grow with the series length.  A truncated family
     stops the pass after a head, ``f.gram_split(n, alpha)``, and adds the
     rows past it as it sums them itself, so the pass reads only
-    ``f.head(K)``.  Real
-    coefficients (the eta family, say) run in float64.  At alpha = 0 the
-    matrix is Toeplitz, G_kl = conj(r_{k-l}), and the pass sums only the
-    n+1 lags r_j = sum_m f_m conj(f_{m-j}), with r_0 real: O(M n) instead
-    of O(M n^2).  The result is an exactly Hermitian, read-only complex128
-    array; a matrix with an entry that is not finite raises
-    ConditioningError.
+    ``f.head(K)``.  Real coefficients (the eta family, say) run in
+    float64.  At alpha = 0 the matrix is Toeplitz, G_kl = conj(r_{k-l}),
+    and the pass sums only the n+1 lags r_j = sum_m f_m conj(f_{m-j}),
+    with r_0 real: O(M n) instead of O(M n^2).  The result is an exactly
+    Hermitian, read-only complex128 array; a matrix with an entry that is
+    not finite raises ConditioningError.
 
     Exact backend: an :class:`~optapprox.linsolve.IntegerMatrix`.  With
     f = a / c for integral a (c the lcm of the coefficients'

@@ -143,6 +143,18 @@ def _check_zero_bounds() -> CheckResult:
                        detail or "all roots outside the bound")
 
 
+def _check_zero_fixed_point() -> CheckResult:
+    # the zeros of p_1..p_3 for (1+z)^3 in D_{-2} lie inside the disk
+    # (moduli 0.956-0.984), the Bergman-type case of the paper
+    f = Series.exact([1, 3, 3, 1])
+    worst = 0.0
+    for n in (1, 2, 3):
+        roots = zeros.poly_roots(approximant.optimal(f, n, -2).p).roots
+        worst = max(worst, *zeros.fixed_point_residual(f, -2, roots))
+    return CheckResult("zero_fixed_point", worst <= 1e-12,
+                       "residual <= 1e-12", f"max residual {worst:.2e}")
+
+
 def _check_equal_quantities() -> CheckResult:
     golden = [
         (Series.exact([1, -1]), 0),
@@ -191,6 +203,25 @@ def _check_szego() -> CheckResult:
                        "residual <= 1e-10", f"max residual {worst:.2e}")
 
 
+def _check_basis_expansion() -> CheckResult:
+    # p_n = conj(f(0)) sum_k conj(phi_k(0)) phi_k, and phi_n from
+    # p_n - p_{n-1}: with psi_n(0)/s_n for phi_n(0), the monic psi_n
+    detail = ""
+    for coeffs in ([1, -1], [1, 3, 3, 1]):
+        f = Series.exact(coeffs)
+        for alpha in (-2, -1, 0, 1, 2):
+            ps = [r.p for r in approximant.optimal_sweep(f, 6, alpha)]
+            bas = orthopoly.basis(f, 6, alpha)
+            for n, (p, psi, s) in enumerate(zip(ps, bas.monic, bas.norms_sq)):
+                if tuple(orthopoly.approximant_via_ops(f, n, alpha).coeffs) != tuple(p.coeffs):
+                    detail = f"p_n mismatch at f={coeffs}, alpha={alpha}, n={n}"
+                if n and tuple(orthopoly.phi_from_diff(
+                        p, ps[n - 1], f.at0(), psi.at0() / s).coeffs) != tuple(psi.coeffs):
+                    detail = f"phi_n mismatch at f={coeffs}, alpha={alpha}, n={n}"
+    return CheckResult("basis_expansion", not detail, "exact match n<=6",
+                       detail or "exact match")
+
+
 _CHECKS = (
     _check_binomial_cube,
     _check_cesaro,
@@ -199,9 +230,11 @@ _CHECKS = (
     _check_bergman_value,
     _check_blaschke,
     _check_zero_bounds,
+    _check_zero_fixed_point,
     _check_equal_quantities,
     _check_levinson,
     _check_szego,
+    _check_basis_expansion,
 )
 
 

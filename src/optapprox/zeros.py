@@ -255,7 +255,9 @@ def first_zero(f: Series, alpha):
     and its zero is interpreted as infinity); in the float backend, when
     it is rounding noise next to ||f|| ||z f||.
     """
-    return _first_zero_of(gram_matrix(f, 1, alpha), f.backend)
+    G = gram_matrix(f, 1, alpha)
+    f.require_in_space(alpha)
+    return _first_zero_of(G, f.backend)
 
 
 def _first_zero_of(G, backend: str):

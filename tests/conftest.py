@@ -29,6 +29,18 @@ def exact_gauss_solve(matrix, rhs):
     return [a[r][n] for r in range(n)]
 
 
+def cofactor_det(M):
+    """Independent oracle: the determinant of a square matrix of
+    ExactComplex by cofactor expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    total = ExactComplex(0)
+    for j, a in enumerate(M[0]):
+        term = a * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def random_poly(rng, max_deg, min_f0=0.2, complex_coeffs=True):
     """Random float-backend polynomial with f(0) bounded away from zero."""
     deg = int(rng.integers(1, max_deg + 1))

@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from optapprox import (ExactComplex, Series, distance, equal_quantities,
-                       gram_matrix, norm_sq, optimal, optimal_sweep, poly_mul,
-                       pn0_via_determinants, poly_add, scale, shifted_inner)
+from optapprox import (ExactComplex, Series, equal_quantities, gram_matrix,
+                       norm_sq, optimal, optimal_sweep, poly_add, poly_mul, scale)
 from optapprox.errors import ConditioningError, ZeroAtOriginError
 
-from conftest import exact_gauss_solve, random_poly
+from conftest import cofactor_det, exact_gauss_solve, random_poly
 
 
 def exact_series(values):
@@ -112,7 +111,7 @@ class TestOptimal:
 
 class TestDistance:
     def test_one_minus_z(self):
-        d = distance(ONE_MINUS_Z, 1, 0)
+        d = optimal(ONE_MINUS_Z, 1, 0).distance_sq
         assert d == Fraction(1, 3)
         # cross-check: ||p1 f - 1||^2 = 3 * (1/9)
         assert equal_quantities(ONE_MINUS_Z, 1, 0).residual_norm_sq == Fraction(1, 3)
@@ -124,10 +123,10 @@ class TestDistance:
         f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": 4000},
                                  "float"))
         for n in (0, 2, 7):
-            assert distance(f, n, 0) == pytest.approx(1 - abs(lam) ** 2, abs=1e-10)
+            assert optimal(f, n, 0).distance_sq == pytest.approx(1 - abs(lam) ** 2, abs=1e-10)
 
     def test_constant_function(self):
-        assert distance(Series.exact([1]), 3, 1) == Fraction(0)
+        assert optimal(Series.exact([1]), 3, 1).distance_sq == Fraction(0)
 
     def test_monotone_in_n(self, rng):
         for _ in range(5):
@@ -137,6 +136,17 @@ class TestDistance:
                 for a, b in zip(ds, ds[1:]):
                     assert b <= a + 1e-12
                 assert all(-1e-12 <= d <= 1 + 1e-12 for d in ds)
+
+
+def pn0_via_determinants(f, n, alpha):
+    """p_n(0) = conj(f(0)) det(M-hat) / det(M) by Cramer's rule, M-hat the
+    lower right n x n minor of the Gram matrix M: by cofactor expansion
+    (exact) or numpy (float)."""
+    M = gram_matrix(f, n, alpha)
+    if f.backend == "exact":
+        M = M.to_exact()
+        return f.at0().conjugate() * cofactor_det([row[1:] for row in M[1:]]) / cofactor_det(M)
+    return complex(np.conj(f.at0()) * np.linalg.det(M[1:, 1:]) / np.linalg.det(M))
 
 
 class TestDeterminantRoute:

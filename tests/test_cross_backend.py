@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optapprox import (ExactComplex, Series, approximant_via_ops, cyclicity_report,
-                       equal_quantities, extremal_value, kernel_eval,
+                       equal_quantities, extremal_value, kernel_eval_from_basis,
                        levinson_solve, optimal, phi_from_diff,
                        szego_identity_residual)
 from optapprox.levinson import outer_criterion
@@ -31,8 +31,8 @@ def quantities(f, alpha):
     prev, p = optimal(f, N - 1, alpha).p, optimal(f, N, alpha).p
     rep = cyclicity_report(f, alpha, N)
     out = {
-        "kernel": kernel_eval(f, N, alpha, Z, W).value,
-        "extremal value": extremal_value(f, N, alpha),
+        "kernel": kernel_eval_from_basis(bas, Z, W).value,
+        "extremal value": extremal_value(bas),
         "cyclicity report": (rep.pn_at_zero, rep.partial_sums, rep.target, rep.distances),
         "approximant_via_ops": approximant_via_ops(f, N, alpha),
         # with psi_n(0)/s_n for phi_n(0), the reconstruction is the monic psi_n

@@ -7,10 +7,11 @@ from operator import mul
 import numpy as np
 import pytest
 
-from optapprox import (FunctionSpec, Series, cesaro_closed_form,
-                       hardy_power_closed_form, norm_sq, one_minus_z_reference,
-                       optimal, poly_eval, realize, spec_from_json)
-from optapprox.errors import SpecValidationError, UnsupportedAlphaError
+from optapprox import (FunctionSpec, Series, cesaro_closed_form, equal_quantities,
+                       first_zero, hardy_power_closed_form, levinson_solve,
+                       norm_sq, optimal, poly_eval, realize, spec_from_json,
+                       toeplitz_column)
+from optapprox.errors import SpecValidationError
 from optapprox.families import _eta_far, _eta_head
 
 from conftest import FIXED_BITS, eta_fixed_point
@@ -239,18 +240,37 @@ class TestCesaroClosedForm:
                 assert np.max(np.abs(closed - direct)) <= 1e-10
 
 
+def one_minus_z_reference(n, alpha, z):
+    """The 1/(1-z) approximant p_n at z from its quotient forms, written
+    apart from cesaro_closed_form: p_n(z) = (1 - S_z / S_1) / (1 - z) with
+    S_z = sum_{k=0}^{n+1} z^k / w(k), w(k) = (k+1)^alpha; at alpha = 0,
+    (z^{n+2} - (n+2) z + n + 1) / ((n+2)(1-z)^2); at the removable
+    singularity z = 1, the limit S'_1 / S_1."""
+    w = np.arange(1, n + 3, dtype=np.float64) ** float(alpha)
+    k = np.arange(n + 2)
+    if z == 1:
+        return np.sum(k / w) / np.sum(1 / w)
+    if alpha == 0:
+        return (z ** (n + 2) - (n + 2) * z + n + 1) / ((n + 2) * (1.0 - z) ** 2)
+    return (1.0 - np.sum(z ** k / w) / np.sum(1 / w)) / (1.0 - z)
+
+
 class TestOneMinusZReference:
     def test_hardy_cubic_quotient_at_zero(self):
+        assert poly_eval(cesaro_closed_form(1, 0).to_float(), 0) == pytest.approx(2 / 3)
         assert one_minus_z_reference(1, 0, 0) == pytest.approx(2 / 3)
 
     def test_root_at_minus_two(self):
+        assert poly_eval(cesaro_closed_form(1, 0).to_float(), -2) == \
+            pytest.approx(0.0, abs=1e-14)
         assert one_minus_z_reference(1, 0, -2) == pytest.approx(0.0, abs=1e-14)
 
     def test_leading_behavior(self):
         n = 5
         z = 1e4
-        val = one_minus_z_reference(n, 0, z)
+        val = poly_eval(cesaro_closed_form(n, 0).to_float(), z)
         assert val == pytest.approx(z ** n / (n + 2), rel=1e-3)
+        assert one_minus_z_reference(n, 0, z) == pytest.approx(val, rel=1e-11)
 
     def test_removable_singularity_at_one(self):
         for alpha in (0, -1):
@@ -262,14 +282,23 @@ class TestOneMinusZReference:
         for alpha in (-2, -1, 1, 2):
             for n in (1, 3, 6):
                 for z in (0.3, -0.9 + 0.2j, 2.0):
-                    via_quotient = one_minus_z_reference(n, alpha, z,
-                                                         method="quotient")
+                    via_quotient = one_minus_z_reference(n, alpha, z)
                     via_coeffs = poly_eval(cesaro_closed_form(n, alpha).to_float(), z)
                     assert via_quotient == pytest.approx(via_coeffs, rel=1e-11)
 
-    def test_hardy_method_rejects_other_alpha(self):
-        with pytest.raises(UnsupportedAlphaError):
-            one_minus_z_reference(2, -1, 0.5, method="hardy")
+
+@pytest.mark.parametrize("call", [
+    lambda f: equal_quantities(f, 2, 0),
+    lambda f: first_zero(f, 0),
+    lambda f: toeplitz_column(f, 2),
+    lambda f: levinson_solve(f, 2),
+], ids=["equal_quantities", "first_zero", "toeplitz_column", "levinson_solve"])
+def test_entries_refuse_eta_outside_the_space(call):
+    # alpha + 2 eta = 1.6: eta 0.8 is not in H^2, whatever its truncation;
+    # refused as optimal, basis and cyclicity_report refuse it
+    f = realize(FunctionSpec("eta_family", {"eta": 0.8, "truncation": 10 ** 4}, "float"))
+    with pytest.raises(SpecValidationError, match="not in D_alpha"):
+        call(f)
 
 
 class TestHardyPowerClosedForm:

@@ -1,5 +1,5 @@
-"""Reproducing kernels, extremal values, the reference limit kernel and
-cyclicity reports."""
+"""Reproducing kernels, extremal values, the Bergman kernel as their limit
+and cyclicity reports."""
 
 import math
 from fractions import Fraction
@@ -9,11 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optapprox import (ExactComplex, FunctionSpec, Series, basis, cyclicity_report,
-                       extremal_value, inner, kernel_at_zero, kernel_eval,
-                       mccarthy_reference, norm_sq, optimal, poly_eval,
-                       poly_mul, realize, scale)
-from optapprox.errors import DegenerateError, UnsupportedAlphaError
+from optapprox import (ExactComplex, FunctionSpec, Series, approximant_via_ops, basis,
+                       cyclicity_report, extremal_value, inner, kernel_eval_from_basis,
+                       norm_sq, optimal, poly_eval, poly_mul, realize, scale)
 
 from conftest import random_poly
 
@@ -25,19 +23,20 @@ class TestKernelEval:
         f = Series.from_complex([1.0])
         z, w = 0.3 + 0.1j, -0.2 + 0.4j
         for n in (0, 2, 5):
-            val = kernel_eval(f, n, 0, z, w).value
+            val = kernel_eval_from_basis(basis(f, n, 0), z, w).value
             expected = sum((np.conj(w) * z) ** k for k in range(n + 1))
             assert val == pytest.approx(expected, rel=1e-12)
 
     def test_one_minus_z_at_origin(self):
-        val = kernel_eval(ONE_MINUS_Z, 1, 0, ExactComplex(0), ExactComplex(0)).value
+        val = kernel_eval_from_basis(basis(ONE_MINUS_Z, 1, 0), ExactComplex(0),
+                                     ExactComplex(0)).value
         assert val == ExactComplex(Fraction(2, 3))
 
     def test_diagonal_real_nonnegative(self, rng):
         for _ in range(5):
             f = random_poly(rng, 5)
             z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-            val = kernel_eval(f, 3, 0, z, z).value
+            val = kernel_eval_from_basis(basis(f, 3, 0), z, z).value
             assert abs(val.imag) <= 1e-12 * (1 + abs(val))
             assert val.real >= -1e-12
 
@@ -47,8 +46,8 @@ class TestKernelEval:
             z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
             w = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
             for alpha in (-1, 0, 0.5):
-                kzw = kernel_eval(f, 3, alpha, z, w).value
-                kwz = kernel_eval(f, 3, alpha, w, z).value
+                kzw = kernel_eval_from_basis(basis(f, 3, alpha), z, w).value
+                kwz = kernel_eval_from_basis(basis(f, 3, alpha), w, z).value
                 assert kzw == pytest.approx(np.conj(kwz), rel=1e-10, abs=1e-12)
 
     def test_reproducing_property(self, rng):
@@ -78,17 +77,17 @@ class TestKernelEval:
 
 class TestKernelAtZero:
     def test_constant(self):
-        out = kernel_at_zero(Series.exact([1]), 2, 0)
+        out = poly_mul(approximant_via_ops(Series.exact([1]), 2, 0), Series.exact([1]))
         assert tuple(out.coeffs) == tuple(Series.exact([1, 0, 0]).coeffs)
 
     def test_one_minus_z(self):
-        out = kernel_at_zero(ONE_MINUS_Z, 1, 0)
+        out = poly_mul(approximant_via_ops(ONE_MINUS_Z, 1, 0), ONE_MINUS_Z)
         assert tuple(out.coeffs) == tuple(Series.exact(
             [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]).coeffs)
 
     def test_binomial_cube(self):
         f = Series.exact([1, 3, 3, 1])
-        out = kernel_at_zero(f, 1, -2)
+        out = poly_mul(approximant_via_ops(f, 1, -2), f)
         expected = poly_mul(optimal(f, 1, -2).p, f)
         assert tuple(out.coeffs) == tuple(expected.coeffs)
         # root set: -1 triple plus the extraneous zero 741/775
@@ -102,24 +101,24 @@ class TestKernelAtZero:
 
 class TestExtremalValue:
     def test_constant(self):
-        assert extremal_value(Series.exact([1]), 3, 0) == pytest.approx(1.0)
+        assert extremal_value(basis(Series.exact([1]), 3, 0)) == pytest.approx(1.0)
 
     def test_one_minus_z(self):
-        assert extremal_value(ONE_MINUS_Z, 1, 0) == pytest.approx(math.sqrt(2 / 3))
+        assert extremal_value(basis(ONE_MINUS_Z, 1, 0)) == pytest.approx(math.sqrt(2 / 3))
 
     def test_blaschke(self):
         lam = 0.6
         f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": 4000},
                                  "float"))
         for n in (0, 3):
-            assert extremal_value(f, n, 0) == pytest.approx(lam, abs=1e-10)
+            assert extremal_value(basis(f, n, 0)) == pytest.approx(lam, abs=1e-10)
 
     def test_certifies_supremum(self, rng):
         f = random_poly(rng, 4)
         n, alpha = 3, 0
-        ext = extremal_value(f, n, alpha)
+        ext = extremal_value(basis(f, n, alpha))
         # the extremal g itself: K_n(., 0)/sqrt(K_n(0,0))
-        g = kernel_at_zero(f, n, alpha)
+        g = poly_mul(approximant_via_ops(f, n, alpha), f)
         g = scale(g, 1.0 / math.sqrt(float(norm_sq(g, alpha))))
         assert abs(complex(g.at0())) == pytest.approx(ext, rel=1e-10)
         assert norm_sq(g, alpha) == pytest.approx(1.0, rel=1e-12)
@@ -134,32 +133,20 @@ class TestExtremalValue:
 
 
 class TestMcCarthyReference:
+    # for f = 1 the limit kernel of the Bergman space (alpha = -1) is the
+    # Bergman kernel (1 - conj(w) z)^-2
     def test_bergman_kernel(self):
         f = Series.from_complex([1.0])
         z, w = 0.3 + 0.2j, -0.1 + 0.5j
-        val = mccarthy_reference(f, -1, z, w)
+        val = kernel_eval_from_basis(basis(f, 30, -1), z, w).value
         assert val == pytest.approx(1.0 / (1.0 - np.conj(w) * z) ** 2, rel=1e-12)
-
-    def test_origin_normalization(self):
-        assert mccarthy_reference(Series.from_complex([1.0]), -2, 0, 0) == \
-            pytest.approx(1.0)
-        assert mccarthy_reference(Series.from_complex([1.0, 1.0]), -1, 0, 0) == \
-            pytest.approx(1.0)
-
-    def test_rejects_nonnegative_alpha(self):
-        with pytest.raises(UnsupportedAlphaError):
-            mccarthy_reference(Series.from_complex([1.0]), 0, 0, 0)
-
-    def test_rejects_zero_of_f(self):
-        with pytest.raises(DegenerateError):
-            mccarthy_reference(Series.from_complex([0.5, -1.0]), -1, 0.5, 0)
 
     def test_finite_kernels_approach_reference(self):
         # f = 1 in the Bergman space: K_n(z,0)... full diagonal convergence
         f = Series.from_complex([1.0])
         z = 0.4 + 0.1j
-        ref = mccarthy_reference(f, -1, z, z)
-        vals = [kernel_eval(f, n, -1, z, z).value for n in (5, 10, 20)]
+        ref = 1.0 / (1.0 - np.conj(z) * z) ** 2
+        vals = [kernel_eval_from_basis(basis(f, n, -1), z, z).value for n in (5, 10, 20)]
         errs = [abs(v - ref) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-3 * abs(ref)

