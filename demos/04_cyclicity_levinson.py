@@ -16,7 +16,7 @@ reach conj(f(0))/||f||^2 exactly when f is outer (= cyclic in H^2).
 """
 
 from optapprox import (FunctionSpec, Series, cyclicity_report, levinson_solve,
-                       outer_criterion_partial, realize)
+                       outer_criterion, realize)
 
 f = Series.exact([1, -1])
 rep = cyclicity_report(f, 0, 10)
@@ -28,7 +28,7 @@ print(f"  d_n^2  = {[str(d) for d in rep.distances[:6]]} -> 0; "
 state = levinson_solve(f, 5)
 print(f"  Levinson reflection coefficients: "
       f"{[str(g.re) for g in state.gammas]}  (Gamma_n = -1/(n+2))")
-oc = outer_criterion_partial(f, 8)
+oc = outer_criterion(f, levinson_solve(f, 8))
 print(f"  outer-criterion partial products: "
       f"{[str(p) for p in oc.partial_products[:4]]} -> target {oc.target.re}")
 
@@ -41,7 +41,7 @@ print(f"  p_n(0) = {rep.pn_at_zero[0].real:.4f} for every n "
       f"(constant approximants)")
 print(f"  d_n^2  = {rep.distances[-1]:.4f} = 1 - lambda^2; "
       f"verdict: {rep.verdict_trend}")
-oc = outer_criterion_partial(blaschke, 8)
+oc = outer_criterion(blaschke, levinson_solve(blaschke, 8))
 print(f"  outer-criterion products stay at "
       f"{oc.partial_products[-1].real:.4f} != target {oc.target.real:.4f} "
       f"(inner, hence not cyclic)")

@@ -21,7 +21,7 @@ from .orthopoly import (OrthonormalBasis, approximant_via_ops, basis,
 from .kernels import (CyclicityReport, KernelEvaluation, cyclicity_report,
                       extremal_value, kernel_eval_from_basis)
 from .levinson import (LevinsonState, OuterCriterion, levinson_solve,
-                       outer_criterion_partial, toeplitz_column)
+                       outer_criterion, toeplitz_column)
 from .zeros import (NO_FINITE_ZERO, ZeroBoundCheck, ZeroSet,
                     first_zero, first_zero_with_tail, fixed_point_residual,
                     poly_roots, zero_bound_check)

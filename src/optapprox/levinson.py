@@ -103,15 +103,10 @@ class OuterCriterion:
     p0_values: tuple         # p_{n+1}(0) via the running product formula
 
 
-def outer_criterion_partial(f: Series, N: int) -> OuterCriterion:
-    """Partial products of the outer-function criterion: f is outer iff
-    prod_n (1 - |c_{n+1,n+1}/c_{0,n+1}|^2) reaches conj(f(0)) / ||f||^2."""
-    return outer_criterion(f, levinson_solve(f, N))
-
-
 def outer_criterion(f: Series, state: LevinsonState) -> OuterCriterion:
-    """The outer-function criterion from the reflection coefficients of
-    ``state = levinson_solve(f, N)``, without running the recursion again."""
+    """Partial products of the outer-function criterion, from the reflection
+    coefficients of ``state = levinson_solve(f, N)``: f is outer iff
+    prod_n (1 - |c_{n+1,n+1}/c_{0,n+1}|^2) reaches conj(f(0)) / ||f||^2."""
     target = f.at0().conjugate() / state.autocorr[0].real   # ||f||^2
     prod, products, p0s = 1, [], []
     for gamma in state.gammas:

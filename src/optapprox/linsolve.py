@@ -11,6 +11,21 @@ store only the nonzero entries, the form in which ``spaces.gram_matrix``
 builds the exact Gram band (rows of exact scalars are scaled by the lcm of
 their denominators).  It skips zeros (see :func:`_eliminate`), so a band of
 width d costs O(n d^2) big-int steps.  Fractions appear only in results.
+
+Every BLAS and LAPACK call of the float backend runs on the calling
+thread.  OpenBLAS hands ``zpotrf`` of order 64 and up, ``ztrtri`` of order
+65 and up and matrix products of 2^16 multiply-adds and more to its worker
+threads, whose wake-up can cost far more than the call: on a 2-vCPU host,
+in series of 100 calls 2 ms apart, ``zpotrf`` at orders 64 and 101 had
+medians of 0.08-0.3 ms and single calls of 79 and 144 ms, and a 41x47x41
+complex product took 15 ms threaded against 0.06 ms on the calling
+thread.  So :func:`_cholesky` and :func:`_inverse` work in panels of at
+most _ORDER = 63 columns, with one ``zpotrf`` or ``ztrtri`` on each
+diagonal block and the rest in matrix products, and :func:`_product` sums
+every product from pieces below 2^16 multiply-adds.  Single-column
+``zpotrs`` and ``ztrtrs``, and ``zpocon``, stay on the calling thread at
+every order.  Up to order 63 the factor is the one ``zpotrf`` call, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +44,92 @@ from .exact import ExactComplex
 #: Condition estimate beyond which the float solver refuses and advises
 #: the exact backend.
 CONDITION_LIMIT = 1e14
+
+#: Largest order of a ``zpotrf`` or ``ztrtri`` call, and of a panel.
+_ORDER = 63
+
+#: Most multiply-adds in one matrix product: OpenBLAS threads a product of
+#: 2^16 (64x16x64, say) and more.
+_GEMM_MACS = (1 << 16) - 1
+
+
+def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B, added into ``out`` when given, summed from pieces of at most
+    _GEMM_MACS multiply-adds.  A long inner dimension (as long as B is wide,
+    as in the Gram and certificate products) is cut into blocks while all of
+    the output fits in one piece.  Otherwise every piece runs over the whole
+    inner dimension, on a tile of the output about as tall as it is wide:
+    a short inner dimension cut into blocks gives pieces too thin to run
+    fast (down to one column)."""
+    rows, inner = A.shape
+    cols = B.shape[1]
+    if out is None:
+        out = np.zeros((rows, cols), dtype=np.result_type(A, B))
+    if rows * cols <= _GEMM_MACS and inner >= cols:
+        step = _GEMM_MACS // (rows * cols)
+        for k in range(0, inner, step):
+            out += A[:, k:k + step] @ B[k:k + step]
+        return out
+    tall = min(rows, max(1, math.isqrt(_GEMM_MACS // inner)))
+    wide = max(1, _GEMM_MACS // (inner * tall))
+    for i in range(0, rows, tall):
+        for j in range(0, cols, wide):
+            out[i:i + tall, j:j + wide] += A[i:i + tall] @ B[:, j:j + wide]
+    return out
+
+
+def _panels(n: int) -> list:
+    """0..n-1 cut into the fewest panels of at most _ORDER columns, all of
+    one width but the last, which may be narrower."""
+    width = -(-n // -(-n // _ORDER))
+    return [slice(i, min(i + width, n)) for i in range(0, n, width)]
+
+
+def _cholesky(G: np.ndarray):
+    """(U, info) as ``zpotrf(G)`` gives them: G = U^H U with U upper
+    triangular, or info = k > 0 when the leading minor of order k is the
+    first that is not positive, and U[:k-1, :k-1] factors that block.
+    Above order _ORDER, left-looking by panels: a panel's rows of G, less
+    U[q, panel]^H U[q, :] for each panel q above it, ``zpotrf`` on their
+    diagonal block U11, and ztrtri(U11)^H times the rest of the rows."""
+    n = len(G)
+    if n <= _ORDER:
+        return zpotrf(G)
+    U = np.zeros((n, n), dtype=np.complex128, order="F")
+    panels = _panels(n)
+    for i, p in enumerate(panels):
+        rows = U[p, p.start:]
+        rows[...] = G[p, p.start:]
+        for q in panels[:i]:
+            _product(-U[q, p].conj().T, U[q, p.start:], rows)
+        U[p, p], info = zpotrf(U[p, p])
+        if info:
+            return U, p.start + info
+        if p.stop < n:
+            U[p, p.stop:] = _product(ztrtri(U[p, p])[0].conj().T, U[p, p.stop:])
+    return U, 0
+
+
+def _inverse(U: np.ndarray) -> np.ndarray:
+    """U^-1 as ``ztrtri(U)[0]`` gives it, for U upper triangular with a
+    nonzero diagonal.  Above order _ORDER by panels from the last: with
+    X11 = ztrtri(U11) on the panel's diagonal block, and X22 the inverse
+    found below it, the panel's rows right of the block are
+    X12 = -X11 U12 X22; U12 X22 is summed into them as each panel below is
+    done."""
+    n = len(U)
+    if n <= _ORDER:
+        return ztrtri(U)[0]
+    X = np.zeros((n, n), dtype=np.complex128, order="F")
+    panels = _panels(n)
+    for i in reversed(range(len(panels))):
+        p = panels[i]
+        X[p, p] = X11 = ztrtri(U[p, p])[0]
+        if p.stop < n:
+            X[p, p.stop:] = _product(-X11, X[p, p.stop:])
+        for q in panels[:i]:
+            _product(U[q, p], X[p, p.start:], X[q, p.start:])
+    return X
 
 
 # Exact elimination runs over a ring: the integers for real matrices and
@@ -177,7 +278,7 @@ def _quotient(x, d) -> ExactComplex:
 class _FloatFactor:
     def __init__(self, G: np.ndarray, b0):
         # G = U^H U; info > 0: the leading minor of order info is not positive
-        self.G, (self.U, self.info), self.identity = G, zpotrf(G), b0 is None
+        self.G, (self.U, self.info), self.identity = G, _cholesky(G), b0 is None
         self.b = np.eye(1, len(G), dtype=np.complex128)[0] * (1.0 if b0 is None else b0)
 
 
@@ -272,7 +373,7 @@ def forward(F, sizes=()):
                                    "Gram matrix numerically singular")
         d = F.U.diagonal().real
         if F.identity:   # L^-1 = diag(d) U^-H, with its unit diagonal set
-            LB = d[:, None] * ztrtri(F.U)[0].conj().T
+            LB = d[:, None] * _inverse(F.U).conj().T
             np.fill_diagonal(LB, 1.0)
         else:            # one triangular solve U^H y = b; L^-1 b = d y
             LB = d[:, None] * ztrtrs(F.U, F.b[:, None], trans=2)[0]

@@ -21,7 +21,7 @@ from . import linsolve
 from .errors import DegenerateError, InstabilityError, UnsupportedAlphaError
 from .exact import abs_sq
 from .series import Series, poly_add, poly_sub, reflect, scale
-from .spaces import _product, gram_matrix
+from .spaces import gram_matrix
 
 #: Maximum tolerated orthogonality defect |<psi_k f, psi_j f>| / sqrt(s_k s_j)
 #: of the float basis.
@@ -68,7 +68,7 @@ def _basis_from(f: Series, n: int, alpha, G, F) -> OrthonormalBasis:
     inv, norms = linsolve.forward(F)
     if isinstance(G, np.ndarray):
         # C = L^-1 has C G C^H = D; certify its off-diagonal part
-        H = np.abs(_product(_product(inv, G), inv.conj().T))
+        H = np.abs(linsolve._product(linsolve._product(inv, G), inv.conj().T))
         s = np.sqrt(norms)
         H /= np.outer(s, s)
         np.fill_diagonal(H, 0.0)

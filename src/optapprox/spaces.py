@@ -39,7 +39,7 @@ from scipy.linalg import toeplitz
 
 from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
-from .linsolve import IntegerMatrix
+from .linsolve import IntegerMatrix, _product
 from .series import Series, poly_mul, shift
 
 
@@ -88,33 +88,6 @@ def weighted_inner(p: Series, q: Series, f: Series, alpha):
 #: Rows of F per block of the float Gram product: the temporaries of one
 #: block hold _GRAM_BLOCK x (n+1) entries, whatever the series length.
 _GRAM_BLOCK = 1 << 14
-
-#: Multiply-adds per matrix product.  BLAS hands larger products to worker
-#: threads, whose wake-up can cost far more than the product: on a 2-vCPU
-#: host a 41x47x41 complex product took 15 ms threaded against 0.06 ms on
-#: the calling thread.  :func:`_product` sums its products from pieces of
-#: at most this size, which BLAS runs on the calling thread.
-_GEMM_MACS = 1 << 16
-
-
-def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A @ B, added into ``out`` when given, summed from pieces of at most
-    _GEMM_MACS multiply-adds: blocks of A's columns while all of A's rows
-    fit in one piece, else blocks of A's rows (one row at the least)."""
-    rows, inner = A.shape
-    cols = B.shape[1]
-    if out is None:
-        out = np.zeros((rows, cols), dtype=np.result_type(A, B))
-    if rows * cols <= _GEMM_MACS:
-        step = _GEMM_MACS // (rows * cols)
-        for j in range(0, inner, step):
-            out += A[:, j:j + step] @ B[j:j + step]
-    else:
-        step = max(1, _GEMM_MACS // (inner * cols))
-        for i in range(0, rows, step):
-            out[i:i + step] += A[i:i + step] @ B
-    return out
-
 
 #: The smallest normal float: a float |f(0)|^2, or a whole Gram matrix,
 #: below it has lost its relative precision.

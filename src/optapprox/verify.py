@@ -185,7 +185,8 @@ def _check_levinson() -> CheckResult:
             direct = approximant.optimal(f, n, 0).p
             worst = max(worst, float(np.max(np.abs(
                 np.asarray(lev.coeffs) - np.asarray(direct.coeffs)))))
-    oc = levinson.outer_criterion_partial(Series.exact([1, -1]), 12)
+    f = Series.exact([1, -1])
+    oc = levinson.outer_criterion(f, levinson.levinson_solve(f, 12))
     exact_ok = all(p == Fraction(n + 3, 2 * (n + 2))
                    for n, p in enumerate(oc.partial_products))
     exact_ok = exact_ok and complex(oc.target) == 0.5

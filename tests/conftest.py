@@ -94,3 +94,21 @@ def frac(s):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+#: The factor routine of each backend, for the factor-once spies: the float
+#: one is one zpotrf call, or one per panel above order 63.
+FACTORIZERS = [("exact", "_eliminate"), pytest.param("float", "_cholesky", id="float-zpotrf")]
+
+
+@pytest.fixture
+def lapack_orders(monkeypatch):
+    """The order of every zpotrf and ztrtri call linsolve makes."""
+    from optapprox import linsolve
+
+    orders = []
+    for name in ("zpotrf", "ztrtri"):
+        fn = getattr(linsolve, name)
+        monkeypatch.setattr(linsolve, name,
+                            lambda A, *a, _fn=fn, **k: orders.append(len(A)) or _fn(A, *a, **k))
+    return orders

@@ -13,7 +13,7 @@ import numpy as np
 from optapprox import (ExactComplex, FunctionSpec, Series, equal_quantities,
                        first_zero_with_tail, gram_matrix, hardy_power_closed_form,
                        cesaro_closed_form, inner, norm_sq, optimal,
-                       optimal_sweep, levinson_solve, outer_criterion_partial,
+                       optimal_sweep, levinson_solve, outer_criterion,
                        poly_add, poly_mul, poly_roots, realize, reflect,
                        scale, shift, szego_identity_residual, weighted_inner)
 from optapprox.cli import main
@@ -159,7 +159,7 @@ def test_acceptance_5_levinson_vs_direct():
             worst = max(worst, float(np.max(np.abs(
                 np.asarray(state.history[n]) - direct))))
     assert worst <= 1e-9
-    oc = outer_criterion_partial(ONE_MINUS_Z, 20)
+    oc = outer_criterion(ONE_MINUS_Z, levinson_solve(ONE_MINUS_Z, 20))
     assert all(p == Fraction(n + 3, 2 * (n + 2))
                for n, p in enumerate(oc.partial_products))
     assert oc.target == ExactComplex(Fraction(1, 2))

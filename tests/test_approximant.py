@@ -91,11 +91,11 @@ class TestOptimal:
         from optapprox import linsolve
 
         calls = []
-        eliminate, zpotrf = linsolve._eliminate, linsolve.zpotrf
+        eliminate, cholesky = linsolve._eliminate, linsolve._cholesky
         monkeypatch.setattr(linsolve, "_eliminate",
                             lambda *a: calls.append("exact") or eliminate(*a))
-        monkeypatch.setattr(linsolve, "zpotrf",
-                            lambda *a: calls.append("float") or zpotrf(*a))
+        monkeypatch.setattr(linsolve, "_cholesky",
+                            lambda *a: calls.append("float") or cholesky(*a))
         assert len(optimal_sweep(CUBE, 12, 1)) == 13
         assert calls == ["exact"]
         assert len(optimal_sweep(CUBE.to_float(), 12, 1)) == 13

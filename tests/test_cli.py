@@ -14,6 +14,8 @@ from optapprox.cli import _dumps, build_parser, main, serialize_scalar
 from optapprox.exact import ExactComplex
 from optapprox.series import Series
 
+from conftest import FACTORIZERS
+
 ONE_MINUS_Z = '{"family":"one_minus_z_pow","params":{"N":1}}'
 CUBE = '{"family":"one_plus_z_pow","params":{"N":3}}'
 BLASCHKE_HALF = '{"family":"blaschke","params":{"lambda":{"re":0.5,"im":0},"truncation":4000}}'
@@ -435,12 +437,13 @@ def test_levinson_solves_once(capsys, monkeypatch):
                         lambda *a: calls.append(a) or solve(*a))
     code, out, _ = run(capsys, "levinson", "--f", ONE_MINUS_Z, "--n", "6")
     assert code == 0 and len(calls) == 1
-    oc = levinson.outer_criterion_partial(Series.exact([1, -1]), 6)
+    f = Series.exact([1, -1])
+    oc = levinson.outer_criterion(f, solve(f, 6))
     assert json.loads(out)["outer_partial_products"] == \
         [serialize_scalar(p) for p in oc.partial_products]
 
 
-@pytest.mark.parametrize("backend, factor", [("exact", "_eliminate"), ("float", "zpotrf")])
+@pytest.mark.parametrize("backend, factor", FACTORIZERS)
 def test_zeros_sweep_factors_once(capsys, monkeypatch, backend, factor):
     from optapprox import linsolve
 
@@ -451,6 +454,22 @@ def test_zeros_sweep_factors_once(capsys, monkeypatch, backend, factor):
                        "--backend", backend, "--n-range", "3..12")
     assert code == 0 and len(calls) == 1
     assert {int(r["n"]) for r in csv.DictReader(io.StringIO(out))} == set(range(3, 13))
+
+
+def test_float_cyclicity_factors_once_above_the_panel_order(capsys, monkeypatch,
+                                                            lapack_orders):
+    # at order 101 the float factor runs in panels: one factor, and no
+    # zpotrf or ztrtri call of order 64 or more
+    from optapprox import linsolve
+
+    calls = []
+    cholesky = linsolve._cholesky
+    monkeypatch.setattr(linsolve, "_cholesky", lambda *a: calls.append(a) or cholesky(*a))
+    code, out, _ = run(capsys, "cyclicity", "--max-n", "100", "--format", "json",
+                       "--backend", "float", "--f", '{"coefficients":[1,0.5]}')
+    assert code == 0 and len(json.loads(out)["rows"]) == 101
+    assert len(calls) == 1 and len(calls[0][0]) == 101
+    assert lapack_orders and max(lapack_orders) <= 63
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from optapprox import (ExactComplex, FunctionSpec, Series, gram_matrix,
-                       levinson_solve, optimal, outer_criterion_partial,
-                       poly_roots, realize, shifted_inner, toeplitz_column)
+                       levinson_solve, optimal, outer_criterion, poly_roots,
+                       realize, shifted_inner, toeplitz_column)
 from optapprox.errors import ZeroAtOriginError
-from optapprox.levinson import outer_criterion
 
 from conftest import random_poly
 
@@ -160,7 +159,7 @@ class TestReflectionCoefficients:
 
 class TestOuterCriterion:
     def test_cesaro_telescoping(self):
-        oc = outer_criterion_partial(ONE_MINUS_Z, 12)
+        oc = outer_criterion(ONE_MINUS_Z, levinson_solve(ONE_MINUS_Z, 12))
         for n, prod in enumerate(oc.partial_products):
             assert prod == Fraction(n + 3, 2 * (n + 2))
         assert oc.target == ExactComplex(Fraction(1, 2))
@@ -168,7 +167,8 @@ class TestOuterCriterion:
             assert p0 == ExactComplex(Fraction(n + 2, n + 3))
 
     def test_constant_attains_target(self):
-        oc = outer_criterion_partial(Series.exact([1]), 5)
+        one = Series.exact([1])
+        oc = outer_criterion(one, levinson_solve(one, 5))
         assert all(p == Fraction(1) for p in oc.partial_products)
         assert oc.target == ExactComplex(1)
 
@@ -176,14 +176,14 @@ class TestOuterCriterion:
         lam = 0.3 - 0.2j
         f = realize(FunctionSpec("blaschke", {"lambda": lam, "truncation": 4000},
                                  "float"))
-        oc = outer_criterion_partial(f, 8)
+        oc = outer_criterion(f, levinson_solve(f, 8))
         assert all(abs(p - 1.0) <= 1e-9 for p in oc.partial_products)
         assert oc.target == pytest.approx(np.conj(lam), abs=1e-10)
         assert abs(oc.partial_products[-1] - oc.target) > 0.5
 
     def test_p0_matches_direct(self, rng):
         f = random_poly(rng, 5)
-        oc = outer_criterion_partial(f, 6)
+        oc = outer_criterion(f, levinson_solve(f, 6))
         for n, p0 in enumerate(oc.p0_values):
             direct = optimal(f, n + 1, 0).p_at_zero
             assert p0 == pytest.approx(direct, rel=1e-10)

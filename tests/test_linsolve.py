@@ -5,15 +5,16 @@ factorization per call of every public entry that needs one."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optapprox import ExactComplex, Series, basis, gram_matrix, weighted_inner
-from optapprox.errors import DegenerateError
+from optapprox.errors import ConditioningError, DegenerateError, InstabilityError
 from optapprox.linsolve import factor, forward, solve
 
-from conftest import cofactor_det, exact_gauss_solve
+from conftest import FACTORIZERS, cofactor_det, exact_gauss_solve
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 gaussian_rationals = st.builds(ExactComplex, rationals, rationals)
@@ -270,8 +271,6 @@ def test_stale_pivot_row(M):
 # -- the float reads, and one factorization per call ----------------------
 
 def test_float_forward_matches_cholesky(rng):
-    import numpy as np
-
     A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     M = A @ A.conj().T + np.eye(6)
     C = np.linalg.cholesky(M)           # M = C C^H
@@ -303,7 +302,7 @@ def _public_calls():
     }
 
 
-@pytest.mark.parametrize("backend, factorizer", [("exact", "_eliminate"), ("float", "zpotrf")])
+@pytest.mark.parametrize("backend, factorizer", FACTORIZERS)
 @pytest.mark.parametrize("name", list(_public_calls()))
 def test_each_call_factors_once(monkeypatch, name, backend, factorizer):
     from optapprox import linsolve
@@ -314,3 +313,80 @@ def test_each_call_factors_once(monkeypatch, name, backend, factorizer):
     f = Series.exact([2, 3, 1])
     _public_calls()[name](f if backend == "exact" else f.to_float())
     assert len(calls) == 1
+
+
+# -- the float factor in panels below OpenBLAS's threading order ----------
+
+def spd(rng, n):
+    """A random Hermitian positive-definite matrix of Frobenius norm 1."""
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    G = A @ A.conj().T + n * np.eye(n)
+    return G / np.linalg.norm(G)
+
+
+def test_panel_factor_and_inverse_at_every_order(rng, lapack_orders):
+    # OpenBLAS threads zpotrf from order 64 and ztrtri from order 65:
+    # factor and forward call them on blocks of at most 63 at every order,
+    # among them 63, 64, 65, 126, 127 and 300
+    from scipy.linalg.lapack import zpotrf
+
+    for n in range(1, 301):
+        G = spd(rng, n)
+        F = factor(G)
+        assert F.info == 0
+        if n <= 63:     # the one zpotrf call, bit for bit
+            assert lapack_orders == [n]
+            assert np.array_equal(F.U, zpotrf(G)[0])
+        U = np.linalg.cholesky(G).conj().T
+        assert np.abs(F.U - U).max() <= 1e-12
+        inv, norms = forward(F)
+        d = U.diagonal().real
+        assert np.allclose(inv, d[:, None] * np.linalg.inv(U).conj().T, rtol=0, atol=1e-12)
+        assert norms == pytest.approx(d * d, rel=1e-12)
+        assert max(lapack_orders) <= 63
+        lapack_orders.clear()
+
+
+@pytest.mark.parametrize("k", [10, 64, 100, 130])
+def test_panel_factor_reports_the_first_nonpositive_minor(rng, lapack_orders, k):
+    # at n = 150 the panels are 0..49, 50..99 and 100..149: k = 100 is the
+    # last row of a panel.  G[k-1, k-1] is set so that its Schur complement
+    # in the leading k-block is -1/n, far from rounding
+    n = 150
+    G = spd(rng, n)
+    v = G[:k - 1, k - 1]
+    G[k - 1, k - 1] = (v.conj() @ np.linalg.solve(G[:k - 1, :k - 1], v)).real - 1.0 / n
+    F = factor(G, 1.0)
+    assert F.info == k and max(lapack_orders) <= 63
+    # the leading k-1 block is factored, and its systems are still solved
+    assert np.abs(F.U[:k - 1, :k - 1] - np.linalg.cholesky(G[:k - 1, :k - 1]).conj().T).max() \
+        <= 1e-12
+    x = solve(F, [k - 1])
+    assert np.allclose(G[:k - 1, :k - 1] @ x, np.eye(k - 1)[0], rtol=0, atol=1e-9)
+    with pytest.raises(ConditioningError):
+        solve(F, [k])
+    with pytest.raises(ConditioningError):
+        forward(F, [k])
+    with pytest.raises(InstabilityError, match=f"degree {k - 1}"):
+        forward(F)
+
+
+@pytest.mark.parametrize("n", [64, 100, 130])
+@pytest.mark.parametrize("cond, refused", [(0.99e14, False), (1.01e14, True)])
+def test_condition_limit_boundary_in_panels(lapack_orders, n, cond, refused):
+    # as at order 3 (test_approximant): on a diagonal matrix the 1-norm
+    # estimate and the condition number are both exactly cond
+    M = np.diag([1.0, 0.5] + [1.0] * (n - 3) + [1.0 / cond]).astype(np.complex128)
+    F = factor(M, 2.0)
+    want = np.zeros(n)
+    want[0] = 2.0
+    if refused:
+        with pytest.raises(ConditioningError, match="1.010e\\+14"):
+            solve(F)
+        with pytest.raises(ConditioningError, match="1.010e\\+14"):
+            forward(F, [n])
+        assert solve(F, [n - 1]) == pytest.approx(want[:n - 1], rel=1e-15)
+    else:
+        assert solve(F) == pytest.approx(want, rel=1e-15)
+    assert forward(F, [1, 2])[1] == pytest.approx(np.diag(M).real, rel=1e-15)
+    assert max(lapack_orders) <= 63

@@ -73,3 +73,22 @@ def test_every_public_function_is_reached_from_the_package():
     unreached = [qual for qual, name in public if qual not in allowed
                  and not any(m == name and owner != qual for m, owner in mentions)]
     assert unreached == []
+
+
+def test_only_linsolve_calls_lapack_and_sums_products():
+    # the float factor keeps every LAPACK call and matrix product below
+    # OpenBLAS's threading sizes; that rule lives in linsolve alone
+    lapack, product = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = []
+            if any(name.startswith("scipy.linalg.lapack") for name in names):
+                lapack.add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "_product":
+                product.add(path.name)
+    assert lapack == product == {"linsolve.py"}

@@ -15,7 +15,8 @@ from optapprox.errors import (BackendMismatchError, ConditioningError,
                               SpecValidationError, ZeroAtOriginError)
 from optapprox import families
 from optapprox.families import _eta_head
-from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero, _product
+from optapprox.linsolve import _product
+from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero
 from optapprox.zeros import _first_zero_of
 
 from conftest import (FIXED_BITS, blaschke_fixed_point, cofactor_det, eta_fixed_point,
@@ -252,10 +253,13 @@ def blaschke_series(lam, M):
 
 
 @pytest.mark.parametrize("rows, inner, cols", [
-    (41, 5000, 41),     # column pieces of 38
+    (41, 5000, 41),     # blocks of 38 of the inner dimension
     (5, 7, 3),          # one piece
-    (300, 300, 300),    # rows beyond one piece: row pieces of one row
-    (300, 120, 200),    # row pieces of two rows
+    (300, 300, 300),    # output beyond one piece: tiles of 14 x 15
+    (300, 120, 200),    # tiles of 23 x 23
+    (238, 63, 238),     # a short inner dimension: tiles of 32 x 32
+    (61, 61, 240),      # tiles of 32 x 33
+    (240, 61, 61),      # inner as long as B is wide: blocks of 4 of it
 ])
 def test_product_in_pieces(rng, rows, inner, cols):
     A = rng.normal(size=(rows, inner)) + 1j * rng.normal(size=(rows, inner))
@@ -266,6 +270,31 @@ def test_product_in_pieces(rng, rows, inner, cols):
     np.testing.assert_allclose(_product(A.real, B), A.real @ B, rtol=0, atol=1e-12 * inner)
     got = _product(A, B, acc.copy())
     np.testing.assert_allclose(got, acc + want, rtol=0, atol=1e-12 * inner)
+
+
+class _Pieces(np.ndarray):
+    """An array that records the multiply-adds of every product it is the
+    left factor of."""
+
+    macs = []
+
+    def __matmul__(self, other):
+        self.macs.append(self.shape[0] * self.shape[1] * other.shape[1])
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (41, 5000, 41), (300, 300, 300), (300, 120, 200), (238, 63, 238), (61, 61, 240),
+    (240, 61, 61), (61, 183, 118), (101, 107, 101), (64, 64, 64), (2, 16384, 2),
+])
+def test_product_pieces_stay_below_the_threading_size(rng, rows, inner, cols):
+    # OpenBLAS threads a product of 2^16 multiply-adds (64 x 16 x 64) and more
+    A = rng.normal(size=(rows, inner)).view(_Pieces)
+    B = rng.normal(size=(inner, cols))
+    _Pieces.macs = []
+    np.testing.assert_allclose(_product(A, B), np.asarray(A) @ B, rtol=0, atol=1e-12 * inner)
+    assert _Pieces.macs and max(_Pieces.macs) < 1 << 16
+    assert sum(_Pieces.macs) == rows * inner * cols
 
 
 class TestFloatGramKernel:
