@@ -52,15 +52,22 @@ _ORDER = 63
 #: 2^16 (64x16x64, say) and more.
 _GEMM_MACS = (1 << 16) - 1
 
+#: Longest inner block of a product piece that is a tile of the output,
+#: whose tiles are then 20x20 or larger where the output allows.  In
+#: complex products of order 257-301 on a 2-vCPU host, blocks of 160 ran
+#: 10-15% faster than blocks of 96 or 128; tiles over a whole inner
+#: dimension of 16384 (1x3 tiles) ran at 0.4 GMAC/s against about 3.
+_INNER = 160
+
 
 def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B, added into ``out`` when given, summed from pieces of at most
     _GEMM_MACS multiply-adds.  A long inner dimension (as long as B is wide,
     as in the Gram and certificate products) is cut into blocks while all of
-    the output fits in one piece.  Otherwise every piece runs over the whole
-    inner dimension, on a tile of the output about as tall as it is wide:
-    a short inner dimension cut into blocks gives pieces too thin to run
-    fast (down to one column)."""
+    the output fits in one piece.  Otherwise every piece is a tile of the
+    output about as tall as it is wide, over blocks of at most _INNER of the
+    inner dimension: a short inner dimension cut into blocks, or a long one
+    left whole, gives pieces too thin to run fast (down to one column)."""
     rows, inner = A.shape
     cols = B.shape[1]
     if out is None:
@@ -70,11 +77,14 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.
         for k in range(0, inner, step):
             out += A[:, k:k + step] @ B[k:k + step]
         return out
-    tall = min(rows, max(1, math.isqrt(_GEMM_MACS // inner)))
-    wide = max(1, _GEMM_MACS // (inner * tall))
-    for i in range(0, rows, tall):
-        for j in range(0, cols, wide):
-            out[i:i + tall, j:j + wide] += A[i:i + tall] @ B[:, j:j + wide]
+    step = min(inner, _INNER)
+    tall = min(rows, math.isqrt(_GEMM_MACS // step))
+    wide = _GEMM_MACS // (step * tall)
+    for k in range(0, inner, step):
+        a, b = A[:, k:k + step], B[k:k + step]
+        for i in range(0, rows, tall):
+            for j in range(0, cols, wide):
+                out[i:i + tall, j:j + wide] += a[i:i + tall] @ b[:, j:j + wide]
     return out
 
 
@@ -86,17 +96,17 @@ def _panels(n: int) -> list:
 
 
 def _cholesky(G: np.ndarray):
-    """(U, info) as ``zpotrf(G)`` gives them: G = U^H U with U upper
-    triangular, or info = k > 0 when the leading minor of order k is the
-    first that is not positive, and U[:k-1, :k-1] factors that block.
-    Above order _ORDER, left-looking by panels: a panel's rows of G, less
+    """(U, info, inverses): U and info as ``zpotrf(G)`` gives them, G = U^H U
+    with U upper triangular, or info = k > 0 when the leading minor of
+    order k is the first that is not positive, and U[:k-1, :k-1] factors
+    that block.  Left-looking by panels: a panel's rows of G, less
     U[q, panel]^H U[q, :] for each panel q above it, ``zpotrf`` on their
-    diagonal block U11, and ztrtri(U11)^H times the rest of the rows."""
+    diagonal block U11, and, below the last panel, ztrtri(U11)^H times the
+    rest of the rows; ``inverses`` keeps those ztrtri(U11).  With one panel
+    (order 63 and less) it is the one ``zpotrf`` call."""
     n = len(G)
-    if n <= _ORDER:
-        return zpotrf(G)
     U = np.zeros((n, n), dtype=np.complex128, order="F")
-    panels = _panels(n)
+    panels, inverses = _panels(n), []
     for i, p in enumerate(panels):
         rows = U[p, p.start:]
         rows[...] = G[p, p.start:]
@@ -104,27 +114,26 @@ def _cholesky(G: np.ndarray):
             _product(-U[q, p].conj().T, U[q, p.start:], rows)
         U[p, p], info = zpotrf(U[p, p])
         if info:
-            return U, p.start + info
+            return U, p.start + info, inverses
         if p.stop < n:
-            U[p, p.stop:] = _product(ztrtri(U[p, p])[0].conj().T, U[p, p.stop:])
-    return U, 0
+            inverses.append(ztrtri(U[p, p])[0])
+            U[p, p.stop:] = _product(inverses[-1].conj().T, U[p, p.stop:])
+    return U, 0, inverses
 
 
-def _inverse(U: np.ndarray) -> np.ndarray:
-    """U^-1 as ``ztrtri(U)[0]`` gives it, for U upper triangular with a
-    nonzero diagonal.  Above order _ORDER by panels from the last: with
-    X11 = ztrtri(U11) on the panel's diagonal block, and X22 the inverse
-    found below it, the panel's rows right of the block are
-    X12 = -X11 U12 X22; U12 X22 is summed into them as each panel below is
-    done."""
+def _inverse(U: np.ndarray, inverses: list) -> np.ndarray:
+    """U^-1 for U and ``inverses`` as :func:`_cholesky` leaves them, with a
+    nonzero diagonal.  By panels from the last: with X11 the inverse of
+    the panel's diagonal block (``ztrtri`` on the last, which ``inverses``
+    lacks), and X22 the inverse found below it, the panel's rows right of
+    the block are X12 = -X11 U12 X22; U12 X22 is summed into them as each
+    panel below is done.  With one panel it is the one ``ztrtri`` call."""
     n = len(U)
-    if n <= _ORDER:
-        return ztrtri(U)[0]
     X = np.zeros((n, n), dtype=np.complex128, order="F")
     panels = _panels(n)
     for i in reversed(range(len(panels))):
         p = panels[i]
-        X[p, p] = X11 = ztrtri(U[p, p])[0]
+        X[p, p] = X11 = inverses[i] if i < len(inverses) else ztrtri(U[p, p])[0]
         if p.stop < n:
             X[p, p.stop:] = _product(-X11, X[p, p.stop:])
         for q in panels[:i]:
@@ -278,7 +287,7 @@ def _quotient(x, d) -> ExactComplex:
 class _FloatFactor:
     def __init__(self, G: np.ndarray, b0):
         # G = U^H U; info > 0: the leading minor of order info is not positive
-        self.G, (self.U, self.info), self.identity = G, _cholesky(G), b0 is None
+        self.G, (self.U, self.info, self.inverses), self.identity = G, _cholesky(G), b0 is None
         self.b = np.eye(1, len(G), dtype=np.complex128)[0] * (1.0 if b0 is None else b0)
 
 
@@ -373,7 +382,7 @@ def forward(F, sizes=()):
                                    "Gram matrix numerically singular")
         d = F.U.diagonal().real
         if F.identity:   # L^-1 = diag(d) U^-H, with its unit diagonal set
-            LB = d[:, None] * _inverse(F.U).conj().T
+            LB = d[:, None] * _inverse(F.U, F.inverses).conj().T
             np.fill_diagonal(LB, 1.0)
         else:            # one triangular solve U^H y = b; L^-1 b = d y
             LB = d[:, None] * ztrtrs(F.U, F.b[:, None], trans=2)[0]

@@ -3,6 +3,7 @@ orthogonal basis of exact fraction-free elimination, against oracles that
 share no code with it, the float reads against numpy, and one
 factorization per call of every public entry that needs one."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -390,3 +391,55 @@ def test_condition_limit_boundary_in_panels(lapack_orders, n, cond, refused):
         assert solve(F) == pytest.approx(want, rel=1e-15)
     assert forward(F, [1, 2])[1] == pytest.approx(np.diag(M).real, rel=1e-15)
     assert max(lapack_orders) <= 63
+
+
+def first_refused(F, sizes):
+    """The first leading block in ``sizes`` that solve refuses, or None."""
+    for m in sizes:
+        try:
+            solve(F, [m])
+        except ConditioningError:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("p", range(4, 9))
+@pytest.mark.parametrize("alpha", [-2, -1, 0, 1, 2])
+def test_panel_factor_decides_as_one_zpotrf_near_the_condition_limit(monkeypatch, p, alpha):
+    # Gram matrices of (1 - z)^p at orders 65, 101 and 131, with condition
+    # numbers from 1e10 to past 1/eps: the panel factor refuses the same
+    # leading blocks as the one zpotrf call, and solves the others to
+    # within cond * eps.  Its info differs only where the matrix is
+    # numerically singular (condition estimate past 1e16), and then both
+    # are past the first refused block, so no decision reads them
+    from scipy.linalg.lapack import zpocon, zpotrf
+
+    from optapprox import linsolve
+
+    f = Series.from_complex([(-1) ** k * math.comb(p, k) for k in range(p + 1)])
+    for n in (64, 100, 130):
+        G = gram_matrix(f, n, alpha)
+        F = factor(G, 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(linsolve, "_cholesky", lambda G: (*zpotrf(G), []))
+            R = factor(G, 1.0)
+        refused = first_refused(R, range(1, n + 2))
+        assert first_refused(F, range(1, n + 2)) == refused
+        if F.info != R.info:
+            assert refused is not None and refused < min(k for k in (F.info, R.info) if k)
+        for m in range(1, refused or n + 2):
+            x, y = solve(F, [m]), solve(R, [m])
+            rcond = zpocon(R.U[:m, :m], np.linalg.norm(G[:m, :m], 1))[0]
+            assert np.abs(x - y).max() <= np.abs(y).max() * np.finfo(float).eps / rcond
+        with monkeypatch.context() as m:
+            m.setattr(linsolve, "_cholesky", lambda G: (*zpotrf(G), []))
+            try:
+                basis(f, n, alpha)
+                want = None
+            except (ConditioningError, InstabilityError) as e:
+                want = type(e)
+        if want is None:
+            basis(f, n, alpha)
+        else:
+            with pytest.raises(want):
+                basis(f, n, alpha)

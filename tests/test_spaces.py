@@ -255,7 +255,8 @@ def blaschke_series(lam, M):
 @pytest.mark.parametrize("rows, inner, cols", [
     (41, 5000, 41),     # blocks of 38 of the inner dimension
     (5, 7, 3),          # one piece
-    (300, 300, 300),    # output beyond one piece: tiles of 14 x 15
+    (300, 300, 300),    # output beyond one piece: tiles of 20 x 20, inner blocks of 160
+    (257, 1000, 257),   # a Gram product past order 255: the same
     (300, 120, 200),    # tiles of 23 x 23
     (238, 63, 238),     # a short inner dimension: tiles of 32 x 32
     (61, 61, 240),      # tiles of 32 x 33
@@ -286,6 +287,7 @@ class _Pieces(np.ndarray):
 @pytest.mark.parametrize("rows, inner, cols", [
     (41, 5000, 41), (300, 300, 300), (300, 120, 200), (238, 63, 238), (61, 61, 240),
     (240, 61, 61), (61, 183, 118), (101, 107, 101), (64, 64, 64), (2, 16384, 2),
+    (257, 1000, 257),
 ])
 def test_product_pieces_stay_below_the_threading_size(rng, rows, inner, cols):
     # OpenBLAS threads a product of 2^16 multiply-adds (64 x 16 x 64) and more
