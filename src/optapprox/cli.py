@@ -23,6 +23,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import approximant, families, kernels, levinson, orthopoly, verify, zeros
 from .errors import OptApproxError, SpecValidationError
 from .exact import ExactComplex, format_rational
@@ -63,12 +65,24 @@ _quote = json.encoder.encode_basestring_ascii
 def _dumps(obj, nl: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for string keys, without
     json's pure-Python indenting encoder; ``nl`` is a newline and the
-    indent of the line obj starts on."""
+    indent of the line obj starts on.  A 1-D complex128 array is written
+    as the list of its serialize_scalar forms, without building it."""
     if type(obj) is float:
         return _float_text(obj)
     if isinstance(obj, str):
         return _quote(obj)
     inner = nl + "  "
+    if isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():   # NaN and Infinity: the scalar path
+            return _dumps([serialize_scalar(c) for c in obj], nl)
+        if not obj.size:
+            return "[]"
+        items = list(map(float.__repr__, obj.real.tolist()))
+        im = obj.imag.tolist()
+        re_key, im_key = f'{{{inner}  "re": ', f',{inner}  "im": '
+        for k in np.flatnonzero(obj.imag).tolist():   # -0.0 is real, as in serialize_scalar
+            items[k] = f"{re_key}{items[k]}{im_key}{float.__repr__(im[k])}{inner}}}"
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -164,6 +178,15 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _scalars(values, backend: str) -> list | np.ndarray:
+    """Scalars of ``backend`` in the form _dumps writes: float ones as one
+    complex128 array (serialize_scalar reads a float through complex()
+    too), exact ones serialized one by one."""
+    if backend == "float":
+        return np.asarray(values, dtype=np.complex128)
+    return [serialize_scalar(c) for c in values]
+
+
 def _zero_rows(zero_set):
     return [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in zero_set.roots]
 
@@ -177,7 +200,7 @@ def _cmd_approximant(args) -> int:
         "alpha": args.alpha,
         "n": args.n,
         "backend": f.backend,
-        "coefficients": [serialize_scalar(c) for c in res.p.coeffs],
+        "coefficients": _scalars(res.p.coeffs, f.backend),
         "p0": serialize_scalar(res.p_at_zero),
         "distance_sq": serialize_scalar(res.distance_sq),
         "zeros": _zero_rows(zeros.poly_roots(res.p)),
@@ -212,10 +235,10 @@ def _cmd_orthopoly(args) -> int:
         "alpha": args.alpha,
         "n": args.n,
         "backend": f.backend,
-        "monic": [[serialize_scalar(c) for c in psi.coeffs] for psi in bas.monic],
-        "norms_sq": [serialize_scalar(s) for s in bas.norms_sq],
+        "monic": [_scalars(psi.coeffs, f.backend) for psi in bas.monic],
+        "norms_sq": _scalars(bas.norms_sq, f.backend),
         "leading_coefficients": list(bas.leading_coefficients()),
-        "phis": [[serialize_scalar(c) for c in phi.coeffs] for phi in bas.phis],
+        "phis": [phi.coeffs for phi in bas.phis],
     }
     _write_output(args, _dumps(payload) + "\n")
     return EXIT_OK
@@ -276,10 +299,10 @@ def _cmd_levinson(args) -> int:
     payload = {
         "n": args.n,
         "backend": f.backend,
-        "coefficients": [serialize_scalar(c) for c in state.coeffs.coeffs],
-        "gammas": [serialize_scalar(g) for g in state.gammas],
-        "autocorrelation": [serialize_scalar(r) for r in state.autocorr],
-        "outer_partial_products": [serialize_scalar(p) for p in crit.partial_products],
+        "coefficients": _scalars(state.coeffs.coeffs, f.backend),
+        "gammas": _scalars(state.gammas, f.backend),
+        "autocorrelation": _scalars(state.autocorr, f.backend),
+        "outer_partial_products": _scalars(crit.partial_products, f.backend),
         "outer_target": serialize_scalar(crit.target),
     }
     _write_output(args, _dumps(payload) + "\n")

@@ -43,29 +43,42 @@ class ExactComplex:
         return cls(x)
 
     # -- arithmetic ---------------------------------------------------
+    #
+    # An operand coerce cannot build (a float, an ndarray) gives
+    # NotImplemented, so that Python asks its own reflected method: an
+    # object ndarray then works elementwise from either side.
 
     def __add__(self, other):
-        o = ExactComplex.coerce(other)
+        o = _operand(other)
+        if o is NotImplemented:
+            return o
         return ExactComplex(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = ExactComplex.coerce(other)
+        o = _operand(other)
+        if o is NotImplemented:
+            return o
         return ExactComplex(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return ExactComplex.coerce(other) - self
+        o = _operand(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
-        o = ExactComplex.coerce(other)
+        o = _operand(other)
+        if o is NotImplemented:
+            return o
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = ExactComplex.coerce(other)
+        o = _operand(other)
+        if o is NotImplemented:
+            return o
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
@@ -73,7 +86,8 @@ class ExactComplex:
                             (self.im * o.re - self.re * o.im) / d)
 
     def __rtruediv__(self, other):
-        return ExactComplex.coerce(other) / self
+        o = _operand(other)
+        return o if o is NotImplemented else o / self
 
     def __neg__(self):
         return ExactComplex(-self.re, -self.im)
@@ -126,6 +140,14 @@ class ExactComplex:
         if self.im == 0:
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
+
+
+def _operand(x):
+    """The other operand of + - * / as an ExactComplex, or NotImplemented
+    for a type coerce cannot build; a float complex is refused by coerce."""
+    if isinstance(x, (ExactComplex, complex, Rational, str)):
+        return ExactComplex.coerce(x)
+    return NotImplemented
 
 
 def _digits(k: int) -> str:

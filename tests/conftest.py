@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from optapprox import ExactComplex, Series
+from optapprox import ExactComplex, Series, toeplitz_column
+from optapprox.exact import abs_sq
 
 
 def exact_gauss_solve(matrix, rhs):
@@ -39,6 +40,38 @@ def cofactor_det(M):
         term = a * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def levinson_oracle(f, n):
+    """Independent oracle: the Levinson recursion of
+    ``levinson.levinson_solve`` one scalar at a time, on the same
+    autocorrelation column.  Returns (coefficients at degree n, gammas,
+    coefficients at every degree 0..n), all for f."""
+    f0_sq = abs_sq(f.at0())
+    r = [x.conjugate() / f0_sq for x in toeplitz_column(f, n)]
+    c = [1 / r[0]]
+    history, gammas = [c], []
+    for m in range(n):
+        gamma = sum((c[m - k] * r[k + 1] for k in range(m + 1)), start=f.scalar(0))
+        prev, denom = c + [f.scalar(0)], f.scalar(1 - abs_sq(gamma))
+        c = [(prev[k] - gamma * prev[m + 1 - k].conjugate()) / denom for k in range(m + 2)]
+        gammas.append(gamma)
+        history.append(c)
+    inv_f0 = 1 / f.scalar(f.at0())
+    history = tuple(tuple(ck * inv_f0 for ck in row) for row in history)
+    return history[-1], tuple(gammas), history
+
+
+def dense_poly(rng, degree):
+    """A float polynomial drawn as the float-dense benchmark draws f:
+    c prod (1 - z/r_j), with |c| in [0.5, 2] and every root off an annulus
+    around the unit circle (|r_j| in [0.25, 0.75] or [1.3, 3])."""
+    coeffs = np.array([rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))])
+    for _ in range(degree):
+        radius = rng.uniform(0.25, 0.75) if rng.random() < 0.25 else rng.uniform(1.3, 3.0)
+        root = radius * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        coeffs = np.append(coeffs, 0) - np.append(0, coeffs) / root
+    return Series.from_complex(coeffs)
 
 
 def random_poly(rng, max_deg, min_f0=0.2, complex_coeffs=True):

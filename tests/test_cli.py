@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -616,3 +617,16 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_dumps_is_json_dumps_with_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+_PARTS = _FLOATS | st.sampled_from([0.0, -0.0, 2.5e-310, -1e-320])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PARTS, _PARTS | st.just(0.0)), max_size=8),
+       st.sampled_from(["\n", "\n  ", "\n      "]))
+def test_dumps_writes_a_float_array_as_its_scalar_list(parts, nl):
+    # NaN, infinities, signed zeros in either part, subnormals, real-only
+    # entries and the empty array included
+    arr = np.array([complex(re, im) for re, im in parts], dtype=np.complex128)
+    assert _dumps(arr, nl) == _dumps([serialize_scalar(c) for c in arr], nl)

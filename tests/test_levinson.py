@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optapprox import (ExactComplex, FunctionSpec, Series, gram_matrix,
-                       levinson_solve, optimal, outer_criterion, poly_roots,
-                       realize, shifted_inner, toeplitz_column)
+                       levinson_solve, optimal, optimal_sweep, outer_criterion,
+                       poly_roots, realize, shifted_inner, toeplitz_column)
 from optapprox.errors import ZeroAtOriginError
 
-from conftest import random_poly
+from conftest import dense_poly, levinson_oracle, random_poly
 
 ONE_MINUS_Z = Series.exact([1, -1])
 
@@ -121,6 +123,43 @@ class TestLevinsonSolve:
             state = levinson_solve(f, 10)
             for g in state.gammas:
                 assert abs(g) < 1.0
+
+
+_GAUSSIAN_INTEGERS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_GAUSSIAN_INTEGERS, min_size=1, max_size=4).filter(lambda a: a[0] != (0, 0)),
+       st.integers(0, 30))
+def test_exact_recursion_matches_the_scalar_oracle(coeffs, n):
+    # ExactComplex equality compares the Fraction parts exactly
+    f = Series.exact(coeffs)
+    state = levinson_solve(f, n)
+    p, gammas, history = levinson_oracle(f, n)
+    assert tuple(state.coeffs.coeffs) == p
+    assert state.gammas == gammas
+    assert state.history == history
+
+
+LADDER = (100, 150, 200, 250)   # the degrees of the float-dense levinson cells
+
+
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_float_recursion_at_large_degree(degree):
+    # within 1e-13 of the scalar oracle, the sum order being all that
+    # differs, and within 1e-9 of the Cholesky sweep, relative to max |c|
+    f = dense_poly(np.random.default_rng(degree), degree)
+    sweep = optimal_sweep(f, LADDER[-1], 0)
+    for n in LADDER:
+        state = levinson_solve(f, n)
+        c = np.asarray(state.coeffs.coeffs)
+        p, gammas, history = levinson_oracle(f, n)
+        scale = np.abs(p).max()
+        assert np.abs(c - p).max() <= 1e-13 * scale
+        assert np.abs(np.array(state.gammas) - gammas).max() <= 1e-13
+        assert np.abs(np.asarray(state.history[n // 2]) - history[n // 2]).max() <= 1e-13 * scale
+        assert np.abs(c - sweep[n].p.coeffs).max() <= 1e-9 * scale
+        assert type(state.gammas[0]) is complex
 
 
 def reflection_coefficients(state):

@@ -177,3 +177,17 @@ def test_reflect_reciprocates_roots(rng):
                 continue
             assert abs(poly_eval(refl, 1.0 / np.conj(zeta))) <= \
                 1e-9 * scale * max(1.0, abs(1.0 / zeta)) ** deg
+
+
+def test_exact_scalar_and_object_array_commute():
+    # an operand ExactComplex cannot coerce gives NotImplemented, so numpy
+    # applies the operation elementwise from either side
+    g = ExactComplex(Fraction(2, 3), -1)
+    arr = np.array([ExactComplex(1), ExactComplex(Fraction(-1, 2), 3), ExactComplex(0, 5)],
+                   dtype=object)
+    assert all(g * arr == arr * g)
+    assert list(g * arr) == [g * x for x in arr]
+    assert list(g + arr) == [g + x for x in arr] and list(g - arr) == [g - x for x in arr]
+    assert list(g / arr) == [g / x for x in arr]
+    with pytest.raises(TypeError, match="float complex"):
+        g * 1j
