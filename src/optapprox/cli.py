@@ -155,10 +155,10 @@ def _n_range(text: str) -> range:
 
 def _point(text: str) -> complex:
     """argparse type of --z and --w: 're' or 're,im', both finite."""
-    parts = [float(x) for x in text.split(",")] + [0.0]
-    if not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError(f"point {text!r} is not finite")
-    return complex(parts[0], parts[1])
+    parts = [float(x) for x in text.split(",")]
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"point {text!r} is not 're' or 're,im', both finite")
+    return complex(*parts)
 
 
 def _load_function(args) -> Series:

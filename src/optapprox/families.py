@@ -384,13 +384,6 @@ def realize(spec: FunctionSpec) -> Series:
     that give their coefficients on demand, their far parts in closed
     form and bounds on their own tails."""
     p = spec.params
-    if spec.family in ("one_minus_z_pow", "one_plus_z_pow"):
-        N = p["N"]
-        sign = -1 if spec.family == "one_minus_z_pow" else 1
-        coeffs = [sign ** k * math.comb(N, k) for k in range(N + 1)]
-        if spec.backend == "exact":
-            return Series.exact(coeffs)
-        return Series.from_complex(coeffs)
     if spec.family == "blaschke":
         M = int(p.get("truncation", BLASCHKE_DEFAULT_TRUNCATION))
         lam = complex(p["lambda"])
@@ -403,11 +396,12 @@ def realize(spec: FunctionSpec) -> Series:
         return TruncatedSeries(M + 1, partial(_eta_coefficients, eta),
                                partial(_eta_tail_sq, eta), partial(_eta_split, eta),
                                partial(_eta_in_space, eta))
-    coeffs = p["coefficients"]
-    if spec.backend == "exact":
-        s = Series.exact(coeffs)
-    else:
-        s = Series.from_complex([complex(c) for c in coeffs])
+    if spec.family == "explicit":
+        coeffs = p["coefficients"]
+    else:   # (1 - z)^N or (1 + z)^N
+        sign = -1 if spec.family == "one_minus_z_pow" else 1
+        coeffs = [sign ** k * math.comb(p["N"], k) for k in range(p["N"] + 1)]
+    s = Series.exact(coeffs) if spec.backend == "exact" else Series.from_complex(coeffs)
     if s.at0() == 0:
         raise SpecValidationError("explicit coefficients must have coeffs[0] != 0")
     return s

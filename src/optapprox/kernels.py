@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from . import linsolve
+from .errors import ConditioningError
 from .exact import abs_sq
 from .orthopoly import OrthonormalBasis
 from .series import Series, poly_eval
@@ -33,9 +36,12 @@ def kernel_eval_from_basis(bas: OrthonormalBasis, z, w) -> KernelEvaluation:
     f = bas.f
     z, w = f.scalar(z), f.scalar(w)
     acc = f.scalar(0)
-    for psi, s in zip(bas.monic, bas.norms_sq):
-        acc = acc + poly_eval(psi, z) * poly_eval(psi, w).conjugate() / s
-    value = acc * poly_eval(f, z) * poly_eval(f, w).conjugate()
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        for psi, s in zip(bas.monic, bas.norms_sq):
+            acc = acc + poly_eval(psi, z) * poly_eval(psi, w).conjugate() / s
+        value = acc * poly_eval(f, z) * poly_eval(f, w).conjugate()
+    if f.backend == "float" and not np.isfinite(value):
+        raise ConditioningError(f"K_n(z, w) at z = {z}, w = {w} is beyond the float range")
     return KernelEvaluation(z, w, value)
 
 

@@ -1,10 +1,10 @@
 """Coefficient-vector arithmetic for polynomials and truncated power series.
 
 A :class:`Series` stores coefficients a_0..a_M of a polynomial or a
-truncated analytic germ.  Two backends coexist:
-
-* ``exact`` -- a tuple of :class:`~optapprox.exact.ExactComplex`;
-* ``float`` -- a ``numpy`` array of ``complex128``.
+truncated analytic germ in one read-only ``numpy`` array, whose dtype is
+its backend: ``object``, holding :class:`~optapprox.exact.ExactComplex`
+(``exact``), or ``complex128`` (``float``).  numpy applies + - * and
+conjugation elementwise to both, so each operation here has one body.
 
 A truncated family of ``families.py`` is instead a
 :class:`TruncatedSeries`, whose coefficients a rule gives on demand: a
@@ -41,11 +41,16 @@ DEGREE_SCALE = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class Series:
-    coeffs: object  # tuple[ExactComplex] | np.ndarray
+    coeffs: np.ndarray  # read-only: object (ExactComplex) or complex128
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        c = np.asarray(self.coeffs)  # a tuple of backend scalars, or an array
+        if c.dtype != object:
+            c = c.astype(np.complex128, copy=False)
+        if len(c) == 0:
             raise ValueError("a Series needs at least one coefficient")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     # -- construction ---------------------------------------------------
 
@@ -53,19 +58,12 @@ class Series:
     def exact(values) -> "Series":
         """Build an exact-backend series from ints, Fractions, ``p/q``
         strings, (re, im) pairs, or ExactComplex values."""
-        coeffs = []
-        for v in values:
-            if isinstance(v, tuple):
-                coeffs.append(ExactComplex(v[0], v[1]))
-            else:
-                coeffs.append(ExactComplex.coerce(v))
-        return Series(tuple(coeffs))
+        return Series(np.array([ExactComplex(*v) if isinstance(v, tuple) else
+                                ExactComplex.coerce(v) for v in values], dtype=object))
 
     @staticmethod
     def from_complex(values) -> "Series":
-        arr = np.asarray(values, dtype=np.complex128)
-        arr.setflags(write=False)
-        return Series(arr)
+        return Series(np.asarray(values, dtype=np.complex128))
 
     def scalar(self, x):
         """``x`` as a scalar of this series' backend: an ExactComplex (a
@@ -75,15 +73,13 @@ class Series:
     def like(self, values) -> "Series":
         """A polynomial of this series' backend with coefficients ``values``:
         scalars of that backend, or numbers that :meth:`scalar` accepts."""
-        if self.backend == "exact":
-            return Series(tuple(map(ExactComplex.coerce, values)))
-        return Series.from_complex(values)
+        return Series.exact(values) if self.backend == "exact" else Series.from_complex(values)
 
     # -- structure ------------------------------------------------------
 
     @property
     def backend(self) -> str:
-        return "exact" if isinstance(self.coeffs, tuple) else "float"
+        return "exact" if self.coeffs.dtype == object else "float"
 
     @property
     def degree(self) -> int:
@@ -127,9 +123,7 @@ class Series:
         return c if c.imag.any() else c.real
 
     def to_float(self) -> "Series":
-        if self.backend == "float":
-            return self
-        return Series.from_complex([complex(c) for c in self.coeffs])
+        return self if self.backend == "float" else Series.from_complex(self.coeffs)
 
     def tail_sq(self, K: int, alpha) -> float:
         """The tail rule of the function f this series stands for: a bound
@@ -172,9 +166,7 @@ class TruncatedSeries(Series):
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        out = self._rule(self._length).astype(np.complex128)
-        out.setflags(write=False)
-        return out
+        return Series(self._rule(self._length).astype(np.complex128)).coeffs
 
     backend = "float"
 
@@ -206,12 +198,11 @@ class TruncatedSeries(Series):
         return f"TruncatedSeries(length={self._length}, rule={self._rule!r})"
 
 
-def _check_same_backend(p: Series, q: Series) -> str:
+def _check_same_backend(p: Series, q: Series) -> None:
     if p.backend != q.backend:
         raise BackendMismatchError(
             f"mixed backends: {p.backend} vs {q.backend}; convert explicitly "
             "with Series.to_float()")
-    return p.backend
 
 
 def poly_eval(p: Series, z):
@@ -225,27 +216,17 @@ def poly_eval(p: Series, z):
 
 def poly_mul(p: Series, q: Series) -> Series:
     """Coefficient convolution; exact in the exact backend."""
-    if _check_same_backend(p, q) == "float":
-        return Series.from_complex(np.convolve(p.coeffs, q.coeffs))
-    out = [ExactComplex(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] = out[i + j] + a * b
-    return Series(tuple(out))
+    _check_same_backend(p, q)
+    return Series(np.convolve(p.coeffs, q.coeffs))
 
 
 def poly_add(p: Series, q: Series) -> Series:
     """Coefficientwise sum; the shorter operand is zero-padded."""
-    backend = _check_same_backend(p, q)
-    n = max(len(p), len(q))
-    if backend == "float":
-        out = np.zeros(n, dtype=np.complex128)
-        out[: len(p)] += p.coeffs
-        out[: len(q)] += q.coeffs
-        return Series.from_complex(out)
-    return Series(tuple(p[k] + q[k] for k in range(n)))
+    _check_same_backend(p, q)
+    out = np.full(max(len(p), len(q)), p.scalar(0), dtype=p.coeffs.dtype)
+    out[: len(p)] += p.coeffs
+    out[: len(q)] += q.coeffs
+    return Series(out)
 
 
 def poly_sub(p: Series, q: Series) -> Series:
@@ -253,10 +234,7 @@ def poly_sub(p: Series, q: Series) -> Series:
 
 
 def scale(p: Series, c) -> Series:
-    if p.backend == "float":
-        return Series.from_complex(np.asarray(p.coeffs) * complex(c))
-    c = ExactComplex.coerce(c)
-    return Series(tuple(a * c for a in p.coeffs))
+    return Series(p.coeffs * p.scalar(c))
 
 
 def shift(p: Series, k: int) -> Series:
@@ -265,10 +243,7 @@ def shift(p: Series, k: int) -> Series:
         raise ValueError("shift amount must be nonnegative")
     if k == 0:
         return p
-    if p.backend == "float":
-        return Series.from_complex(
-            np.concatenate([np.zeros(k, dtype=np.complex128), p.coeffs]))
-    return Series((ExactComplex(0),) * k + p.coeffs)
+    return Series(np.concatenate([np.full(k, p.scalar(0), dtype=p.coeffs.dtype), p.coeffs]))
 
 
 def reflect(p: Series, n: int) -> Series:
@@ -278,9 +253,6 @@ def reflect(p: Series, n: int) -> Series:
     if n < d:
         raise InvalidReflectionDegreeError(
             f"reflection degree {n} is below the effective degree {d}")
-    if p.backend == "float":
-        padded = np.zeros(n + 1, dtype=np.complex128)
-        m = min(len(p), n + 1)
-        padded[:m] = p.coeffs[:m]
-        return Series.from_complex(np.conj(padded[::-1]))
-    return Series(tuple(p[n - j].conjugate() for j in range(n + 1)))
+    padded = np.full(n + 1, p.scalar(0), dtype=p.coeffs.dtype)
+    padded[: len(p)] = p.coeffs[: n + 1]
+    return Series(np.conj(padded[::-1]))

@@ -115,7 +115,7 @@ def _check_blaschke() -> CheckResult:
         res = approximant.optimal(f, n, 0)
         expected = np.zeros(n + 1, dtype=np.complex128)
         expected[0] = np.conj(lam)
-        worst = max(worst, float(np.max(np.abs(np.asarray(res.p.coeffs) - expected))),
+        worst = max(worst, float(np.max(np.abs(res.p.coeffs - expected))),
                     abs(res.distance_sq - (1 - abs(lam) ** 2)))
     ok = worst <= 1e-10
     return CheckResult("blaschke_constant_approximants", ok,
@@ -183,8 +183,7 @@ def _check_levinson() -> CheckResult:
         for n in (1, 4, 8):
             lev = levinson.levinson_solve(f, n).coeffs
             direct = approximant.optimal(f, n, 0).p
-            worst = max(worst, float(np.max(np.abs(
-                np.asarray(lev.coeffs) - np.asarray(direct.coeffs)))))
+            worst = max(worst, float(np.max(np.abs(lev.coeffs - direct.coeffs))))
     f = Series.exact([1, -1])
     oc = levinson.outer_criterion(f, levinson.levinson_solve(f, 12))
     exact_ok = all(p == Fraction(n + 3, 2 * (n + 2))

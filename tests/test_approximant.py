@@ -70,8 +70,8 @@ class TestOptimal:
                 G = gram_matrix(f, 5, alpha).to_exact()
                 for n in range(6):
                     single = optimal(f, n, alpha)
-                    assert (sweep[n].p.coeffs, sweep[n].distance_sq) == \
-                        (single.p.coeffs, single.distance_sq)
+                    assert (tuple(sweep[n].p.coeffs), sweep[n].distance_sq) == \
+                        (tuple(single.p.coeffs), single.distance_sq)
                     # the leading block of the normal equations conj(G) c = conj(f(0)) e_0
                     block = tuple(tuple(x.conjugate() for x in row[: n + 1])
                                   for row in G[: n + 1])

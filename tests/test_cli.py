@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -532,6 +533,7 @@ FLOAT_F = ("--backend", "float", "--f", ONE_MINUS_Z)
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "nan"), id="z-nan"),
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z", "1e400"), id="z-overflow"),
     pytest.param(("kernel", *FLOAT_F, "--n", "2", "--w=0.5,-inf"), id="w-infinite"),
+    pytest.param(("kernel", *FLOAT_F, "--n", "2", "--z=1,2,3"), id="z-three-parts"),
     pytest.param(("approximant", "--f", ONE_MINUS_Z, "--n", "1", "--format", "csv"),
                  id="approximant-format"),
     pytest.param(("levinson", "--f", ONE_MINUS_Z, "--n", "1", "--format", "json"),
@@ -543,6 +545,19 @@ def test_malformed_command_line_is_json_validation_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "SpecValidationError"
     assert payload["module"] == "cli"
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_kernel_beyond_the_float_range_exits_3(capsys, backend):
+    # K_3(1e200, 0) for f = 1 + z has |z|^3 |f(z)| ~ 1e800: no float holds it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "kernel", "--backend", backend, "--n", "3",
+                             "--z=1e200", "--f", '{"coefficients":[1,1]}')
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["module"]) == ("ConditioningError", "kernels")
 
 
 def test_float_view_beyond_the_float_range(capsys):

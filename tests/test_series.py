@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optapprox import (ExactComplex, Series, poly_eval, poly_mul, reflect,
-                       shift)
+from optapprox import (ExactComplex, Series, poly_add, poly_eval, poly_mul,
+                       poly_sub, reflect, scale, shift)
 from optapprox.errors import BackendMismatchError, InvalidReflectionDegreeError
 from optapprox.exact import abs_sq
 
@@ -191,3 +191,59 @@ def test_exact_scalar_and_object_array_commute():
     assert list(g / arr) == [g / x for x in arr]
     with pytest.raises(TypeError, match="float complex"):
         g * 1j
+
+
+# -- one body per operation, for both backends ---------------------------
+
+gauss = st.tuples(*[st.fractions(-9, 9, max_denominator=9)] * 2)
+gauss_lists = st.lists(gauss, min_size=1, max_size=6)
+
+OPERATIONS = {
+    "poly_mul": lambda p, q, c, k: poly_mul(p, q),
+    "poly_add": lambda p, q, c, k: poly_add(p, q),
+    "poly_sub": lambda p, q, c, k: poly_sub(p, q),
+    "scale": lambda p, q, c, k: scale(p, c),
+    "shift": lambda p, q, c, k: shift(p, k),
+    "reflect": lambda p, q, c, k: reflect(p, len(p) - 1 + k),
+}
+
+
+@given(gauss_lists, gauss_lists, gauss, st.integers(min_value=0, max_value=3))
+def test_exact_and_float_bodies_agree(pc, qc, c, k):
+    p, q, c = Series.exact(pc), Series.exact(qc), ExactComplex(*c)
+    for name, op in OPERATIONS.items():
+        exact, fl = op(p, q, c, k), op(p.to_float(), q.to_float(), c, k)
+        for out, backend in ((exact, "exact"), (fl, "float")):
+            assert out.backend == backend, name
+            assert not out.coeffs.flags.writeable, name
+        expected = exact.to_float().coeffs
+        assert len(fl) == len(expected), name
+        assert np.abs(fl.coeffs - expected).max() <= 1e-12 * np.abs(expected).max(), name
+
+
+@given(gauss_lists, st.integers(min_value=0, max_value=4))
+def test_product_with_a_monomial_is_a_shift(pc, k):
+    p = Series.exact(pc)
+    monomial = Series.exact([0] * k + [1])
+    for pp, zk in ((p, monomial), (p.to_float(), monomial.to_float())):
+        assert list(poly_mul(pp, zk).coeffs) == list(shift(pp, k).coeffs)
+
+
+@given(gauss_lists, st.integers(min_value=0, max_value=3))
+def test_reflect_undoes_itself(pc, extra):
+    p = Series.exact(pc)
+    n = len(p) - 1 + extra
+    for pp in (p, p.to_float()):
+        twice = reflect(reflect(pp, n), n)
+        assert list(twice.coeffs) == list(pp.coeffs) + [pp.scalar(0)] * extra
+
+
+def test_series_from_a_tuple_is_read_only_and_keeps_its_backend():
+    exact = Series((ExactComplex(1), ExactComplex(0, -2)))
+    fl = Series((1 + 0j, -2j))
+    assert (exact.backend, fl.backend) == ("exact", "float")
+    assert fl.coeffs.dtype == np.complex128
+    for p in (exact, fl):
+        assert not p.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            p.coeffs[0] = p.scalar(5)

@@ -92,3 +92,25 @@ def test_only_linsolve_calls_lapack_and_sums_products():
             if isinstance(node, ast.FunctionDef) and node.name == "_product":
                 product.add(path.name)
     assert lapack == product == {"linsolve.py"}
+
+
+def test_series_operations_have_one_body():
+    # the dtype of Series.coeffs is the backend, so the operations of
+    # series.py are written once: outside Series, TruncatedSeries and
+    # _check_same_backend nothing reads .backend, tests for a tuple or
+    # compares with a backend name
+    allowed = {"Series", "TruncatedSeries", "_check_same_backend"}
+    forks = []
+    for top in ast.parse((PACKAGE / "series.py").read_text()).body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "backend":
+                forks.append(f"{top.name}:{node.lineno} .backend")
+            elif isinstance(node, ast.Constant) and node.value in ("exact", "float"):
+                forks.append(f"{top.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1:] + getattr(node.args[1], "elts", [])
+                if any(getattr(k, "id", None) == "tuple" for k in kinds):
+                    forks.append(f"{top.name}:{node.lineno} isinstance tuple")
+    assert forks == []
