@@ -7,9 +7,10 @@ JSON, or CSV for the tables of zeros and cyclicity (``--format``);
 rationals serialize as "p/q" strings in the exact backend so golden
 comparisons are byte-stable.
 
-Exit codes: 0 success, 2 validation error, 3 numerical breakdown,
-4 verification failure.  Errors are emitted as machine-readable JSON on
-stderr.
+Each command returns what it prints; ``main`` loads f, writes the output
+once, to stdout or ``--output``, and ends every error in its exit code:
+0 success, 2 validation error, 3 numerical breakdown, 4 verification
+failure.  Errors are emitted as machine-readable JSON on stderr.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def _raising_module(exc: Exception) -> str:
     return module
 
 
-def _emit_error(exc: Exception, code: int, module: str | None = None) -> int:
+def _emit_error(exc: Exception, code: int) -> int:
     payload = {
         "error": type(exc).__name__,
-        "module": module or _raising_module(exc),
+        "module": _raising_module(exc),
         "message": str(exc),
     }
     print(json.dumps(payload), file=sys.stderr)
@@ -162,20 +163,17 @@ def _point(text: str) -> complex:
 
 
 def _load_function(args) -> Series:
+    """f from --f, in --backend; the exact backend takes an integer alpha only."""
+    if args.backend == "exact" and not getattr(args, "alpha", 0.0).is_integer():
+        raise SpecValidationError("exact backend requires integer alpha")
     try:
         obj = json.loads(args.f)
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"--f is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecValidationError("--f is nested too deeply to parse") from exc
     spec = families.spec_from_json(obj, backend=args.backend)
     return families.realize(spec)
-
-
-def _write_output(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _scalars(values, backend: str) -> list | np.ndarray:
@@ -192,11 +190,12 @@ def _zero_rows(zero_set):
 
 
 # -- subcommand handlers ------------------------------------------------
+# A handler of a command with --f takes the loaded f and the arguments and
+# returns what the command prints: a payload for _dumps, or CSV text.
 
-def _cmd_approximant(args) -> int:
-    f = _load_function(args)
+def _cmd_approximant(f, args):
     res = approximant.optimal(f, args.n, args.alpha)
-    payload = {
+    return {
         "alpha": args.alpha,
         "n": args.n,
         "backend": f.backend,
@@ -206,12 +205,9 @@ def _cmd_approximant(args) -> int:
         "zeros": _zero_rows(zeros.poly_roots(res.p)),
         "tail_error_bound": res.tail_error_bound,
     }
-    _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
 
 
-def _cmd_zeros(args) -> int:
-    f = _load_function(args)
+def _cmd_zeros(f, args):
     ns = args.n_range
     sweep = approximant.optimal_sweep(f, ns[-1], args.alpha)
     zero_sets = zeros.poly_roots_batch([sweep[n].p for n in ns])
@@ -220,18 +216,14 @@ def _cmd_zeros(args) -> int:
         lines = ["n,root_index,re,im,modulus\r\n"]
         lines += [f"{n},{idx},{z.real!r},{z.imag!r},{abs(z)!r}\r\n"
                   for n, zs in zip(ns, zero_sets) for idx, z in enumerate(zs.roots)]
-        _write_output(args, "".join(lines))
-    else:
-        rows = [{"n": n, "root_index": idx, **z}
-                for n, zs in zip(ns, zero_sets) for idx, z in enumerate(_zero_rows(zs))]
-        _write_output(args, _dumps(rows) + "\n")
-    return EXIT_OK
+        return "".join(lines)
+    return [{"n": n, "root_index": idx, **z}
+            for n, zs in zip(ns, zero_sets) for idx, z in enumerate(_zero_rows(zs))]
 
 
-def _cmd_orthopoly(args) -> int:
-    f = _load_function(args)
+def _cmd_orthopoly(f, args):
     bas = orthopoly.basis(f, args.n, args.alpha)
-    payload = {
+    return {
         "alpha": args.alpha,
         "n": args.n,
         "backend": f.backend,
@@ -240,18 +232,13 @@ def _cmd_orthopoly(args) -> int:
         "leading_coefficients": list(bas.leading_coefficients()),
         "phis": [phi.coeffs for phi in bas.phis],
     }
-    _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
 
 
-def _cmd_kernel(args) -> int:
-    f = _load_function(args)
+def _cmd_kernel(f, args):
     z, w = args.z, args.w
-    if f.backend == "exact":
-        f = f.to_float()
-    bas = orthopoly.basis(f, args.n, args.alpha)
+    bas = orthopoly.basis(f.to_float(), args.n, args.alpha)
     ev = kernels.kernel_eval_from_basis(bas, z, w)
-    payload = {
+    return {
         "alpha": args.alpha,
         "n": args.n,
         "z": {"re": z.real, "im": z.imag},
@@ -259,12 +246,9 @@ def _cmd_kernel(args) -> int:
         "value": serialize_scalar(ev.value),
         "extremal_value_at_zero": kernels.extremal_value(bas),
     }
-    _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
 
 
-def _cmd_cyclicity(args) -> int:
-    f = _load_function(args)
+def _cmd_cyclicity(f, args):
     rep = kernels.cyclicity_report(f, args.alpha, args.max_n)
     rows = [(n, serialize_scalar(rep.pn_at_zero[n]),
              serialize_scalar(rep.partial_sums[n]),
@@ -274,29 +258,23 @@ def _cmd_cyclicity(args) -> int:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["n", "p0", "partial_sum", "distance_sq"])
-        for row in rows:
-            w.writerow([row[0], json.dumps(row[1]), json.dumps(row[2]),
-                        json.dumps(row[3])])
+        w.writerows([n, *map(json.dumps, values)] for n, *values in rows)
         buf.write(f"# target={json.dumps(serialize_scalar(rep.target))} "
                   f"verdict={rep.verdict_trend}\n")
-        _write_output(args, buf.getvalue())
-    else:
-        payload = {
-            "max_n": rep.max_n,
-            "target": serialize_scalar(rep.target),
-            "verdict_trend": rep.verdict_trend,
-            "rows": [{"n": r[0], "p0": r[1], "partial_sum": r[2],
-                      "distance_sq": r[3]} for r in rows],
-        }
-        _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
+        return buf.getvalue()
+    return {
+        "max_n": rep.max_n,
+        "target": serialize_scalar(rep.target),
+        "verdict_trend": rep.verdict_trend,
+        "rows": [{"n": r[0], "p0": r[1], "partial_sum": r[2],
+                  "distance_sq": r[3]} for r in rows],
+    }
 
 
-def _cmd_levinson(args) -> int:
-    f = _load_function(args)
+def _cmd_levinson(f, args):
     state = levinson.levinson_solve(f, args.n)
     crit = levinson.outer_criterion(f, state)
-    payload = {
+    return {
         "n": args.n,
         "backend": f.backend,
         "coefficients": _scalars(state.coeffs.coeffs, f.backend),
@@ -305,37 +283,27 @@ def _cmd_levinson(args) -> int:
         "outer_partial_products": _scalars(crit.partial_products, f.backend),
         "outer_target": serialize_scalar(crit.target),
     }
-    _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
 
 
-def _cmd_first_zero(args) -> int:
-    f = _load_function(args)
+def _cmd_first_zero(f, args):
     value, tail = zeros.first_zero_with_tail(f, args.alpha)
     if value == zeros.NO_FINITE_ZERO:
-        payload = {"alpha": args.alpha, "finite": False}
-    else:
-        payload = {"alpha": args.alpha, "finite": True,
-                   "value": serialize_scalar(value),
-                   "tail_error_bound": tail}
-    _write_output(args, _dumps(payload) + "\n")
-    return EXIT_OK
+        return {"alpha": args.alpha, "finite": False}
+    return {"alpha": args.alpha, "finite": True,
+            "value": serialize_scalar(value),
+            "tail_error_bound": tail}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
+    """The verification table and the exit code: 4 when a check fails."""
     results = verify.run_verification(only=args.only,
                                       inject_error=args.inject_error)
     if not results:
-        return _emit_error(SpecValidationError(f"no checks match {args.only!r}"),
-                           EXIT_VALIDATION, "cli")
+        raise SpecValidationError(f"no checks match {args.only!r}")
     width = max(len(r.name) for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.name:<{width}}  expected: {r.expected}  "
-                     f"observed: {r.observed}")
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+    table = "".join(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  "
+                    f"expected: {r.expected}  observed: {r.observed}\n" for r in results)
+    return table, EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
 # -- parser --------------------------------------------------------------
@@ -415,34 +383,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv):
-    """The command line, checked as a whole: the exact backend takes an
-    integer alpha only."""
-    args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None) == "exact" and \
-            not float(getattr(args, "alpha", 0.0)).is_integer():
-        raise SpecValidationError("exact backend requires integer alpha")
-    return args
-
-
 def main(argv=None) -> int:
+    """Run one command: load f for a command that takes --f, write what the
+    command returns once, to stdout or --output, and end every error in its
+    exit code and one JSON line on stderr."""
     try:
-        args = _parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "f"):
+            out, code = args.handler(_load_function(args), args), EXIT_OK
+        else:
+            out, code = args.handler(args)
+        text = out if isinstance(out, str) else _dumps(out) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except SystemExit:  # after --help
         return EXIT_OK
     except SpecValidationError as exc:
-        return _emit_error(exc, EXIT_VALIDATION, "cli")
-    try:
-        return args.handler(args)
-    except SpecValidationError as exc:
         return _emit_error(exc, EXIT_VALIDATION)
-    except OptApproxError as exc:
+    # OverflowError: a float view of an exact result beyond the float range;
+    # numpy's MemoryError says how much the problem needed
+    except (OptApproxError, OverflowError, MemoryError) as exc:
         return _emit_error(exc, EXIT_NUMERICAL)
-    except OverflowError as exc:  # a float view of an exact result beyond the float range
-        return _emit_error(exc, EXIT_NUMERICAL)
-    except MemoryError as exc:  # numpy's message says how much the problem needed
-        return _emit_error(exc, EXIT_NUMERICAL)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the output cannot be opened or written
         return _emit_error(exc, EXIT_VALIDATION)
 
 

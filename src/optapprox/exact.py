@@ -92,20 +92,6 @@ class ExactComplex:
     def __neg__(self):
         return ExactComplex(-self.re, -self.im)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("exact powers must have integer exponents")
-        if k < 0:
-            return (ExactComplex(1) / self) ** (-k)
-        out = ExactComplex(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- structure ----------------------------------------------------
 
     def conjugate(self) -> "ExactComplex":

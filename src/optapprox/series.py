@@ -41,6 +41,9 @@ DEGREE_SCALE = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class Series:
+    """``Series(array)`` takes ownership of the array it is given and sets
+    it read-only; :meth:`from_complex` copies."""
+
     coeffs: np.ndarray  # read-only: object (ExactComplex) or complex128
 
     def __post_init__(self):
@@ -63,7 +66,7 @@ class Series:
 
     @staticmethod
     def from_complex(values) -> "Series":
-        return Series(np.asarray(values, dtype=np.complex128))
+        return Series(np.array(values, dtype=np.complex128))
 
     def scalar(self, x):
         """``x`` as a scalar of this series' backend: an ExactComplex (a

@@ -76,6 +76,24 @@ class TestApproximant:
         assert payload["coefficients"] == ["2/3", "1/3"]
         assert payload["distance_sq"] == "1/3"
 
+    @pytest.mark.parametrize("command", [
+        ("approximant", "--f", ONE_MINUS_Z, "--n", "1"),
+        ("zeros", "--f", ONE_MINUS_Z, "--n-range", "0..3", "--format", "csv"),
+        ("verify", "--only", "binomial_cube"),
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("where, error", [
+        ("missing-dir", "FileNotFoundError"), ("directory", "IsADirectoryError"),
+    ])
+    def test_unwritable_output_is_json_validation_error(self, capsys, tmp_path,
+                                                        command, where, error):
+        path = tmp_path / "no-such-dir" / "out" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, *command, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert (payload["error"], payload["module"]) == (error, "cli")
+        assert str(path) in payload["message"]
+
 
 class TestZeros:
     def test_sweep_csv(self, capsys):
@@ -232,6 +250,9 @@ class TestErrorsAndExitCodes:
         ("--backend", "exact", "--f", '{"family":"explicit","params":{"coefficients":[0.5,1]}}'),
         ("--backend", "float", "--f",
          '{"family":"explicit","params":{"coefficients":[{"re":1},1e400]}}'),
+        ("--backend", "float", "--f", "[" * 100000 + "]" * 100000),
+        ("--backend", "exact", "--f", '{"coefficients":[1,' + '{"re":' * 5000 + "1"
+         + "}" * 5000 + "]}"),
     ])
     def test_mistyped_spec_is_validation_error(self, capsys, argv):
         code, _, err = run(capsys, "approximant", "--n", "1", *argv)

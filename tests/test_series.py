@@ -247,3 +247,12 @@ def test_series_from_a_tuple_is_read_only_and_keeps_its_backend():
         assert not p.coeffs.flags.writeable
         with pytest.raises(ValueError):
             p.coeffs[0] = p.scalar(5)
+
+
+def test_from_complex_leaves_the_callers_array_writable():
+    a = np.array([1 + 2j, -3.0, 0.5j])
+    p = Series.from_complex(a)
+    a[0] = 7
+    assert a[0] == 7
+    assert p.coeffs.tolist() == [1 + 2j, -3.0, 0.5j]
+    assert not p.coeffs.flags.writeable

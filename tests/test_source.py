@@ -114,3 +114,21 @@ def test_series_operations_have_one_body():
                 if any(getattr(k, "id", None) == "tuple" for k in kinds):
                     forks.append(f"{top.name}:{node.lineno} isinstance tuple")
     assert forks == []
+
+
+def test_cli_writes_output_in_main_only():
+    # the commands return their output and main writes it, inside the one
+    # map from errors to exit codes: cli.py has at most one stdout write and
+    # one open(), both in main
+    writes, opens = [], []
+    for top in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                opens.append(where)
+            elif ast.unparse(node.func) == "sys.stdout.write":
+                writes.append(where)
+    for found in (writes, opens):
+        assert len(found) <= 1 and all(w.startswith("main:") for w in found), found
