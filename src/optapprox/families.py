@@ -7,7 +7,7 @@ Families: (1-z)^N and (1+z)^N (exact binomials), single Blaschke factors
 coefficient lists.
 
 The truncated families (Blaschke, eta) are each a short head plus their
-own far part: the float Gram pass sums the rows of a head and the family
+own far part: the float Gram band sums the rows of a head and the family
 gives the rest of each entry in closed form.  A Blaschke factor's rows
 past n are geometric (:func:`_blaschke_split`); the eta family sums a
 head of _eta_head(eta, n) rows and :func:`_eta_far` the rest (the
@@ -64,7 +64,7 @@ def _exact_part(x):
         return x
     if isinstance(x, float):
         raise SpecValidationError("float coefficients are not allowed in the exact backend")
-    raise SpecValidationError(f"bad coefficient {x!r}")
+    raise SpecValidationError(f"bad coefficient {x!r:.40}")
 
 
 def _known_keys(obj: dict, known, what: str) -> None:
@@ -104,7 +104,7 @@ class FunctionSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
-            raise SpecValidationError(f"unknown family {self.family!r}")
+            raise SpecValidationError(f"unknown family {self.family!r:.40}")
         _known_keys(self.params, FAMILIES[self.family], f"{self.family} params")
         if self.backend not in ("exact", "float"):
             raise SpecValidationError(f"unknown backend {self.backend!r}")
@@ -210,7 +210,7 @@ _GEOMETRIC_PIECE = 1 << 20
 
 @np.errstate(over="ignore", invalid="ignore")   # the float Gram check reports it
 def _blaschke_split(lam: complex, length: int, n: int, alpha: float):
-    """The float Gram pass over b_0..b_M, M = length - 1 > n, of a Blaschke
+    """The float Gram band over b_0..b_M, M = length - 1 > n, of a Blaschke
     factor sums the rows m <= n and takes the rest from here.  Every row
     m > n is geometric, (b_m, ..., b_{m-n}) = s c^(m-n-1) (c^n, ..., c, 1)
     for c = conj(lambda) and s = |lambda|^2 - 1, so the rows m > n add
@@ -305,7 +305,7 @@ def _power_sums(s: np.ndarray, A: float, B: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")   # the float Gram check reports it
 def _eta_far(eta: float, length: int, K: int, n: int, alpha: float) -> np.ndarray:
-    """The rows m >= K of the Gram pass of a_0..a_M, M = length - 1:
+    """The rows m >= K of the Gram sums of a_0..a_M, M = length - 1:
     F_kl = sum_{m=K}^{M+min(k,l)} (m+1)^alpha a_{m-k} a_{m-l} for k, l <= n,
     or at alpha = 0 the lags F_0l alone; K > n.
 
@@ -348,22 +348,22 @@ def _eta_far(eta: float, length: int, K: int, n: int, alpha: float) -> np.ndarra
 
 
 def _eta_head(eta: float, n: int) -> int:
-    """K: the rows m < K of an eta Gram pass of degree n are summed term
-    by term, and the rows past K by :func:`_eta_far`.  The second term,
-    which keeps |e_1(h)| <= (eta+1)(eta+3+2n)/2 below K/16, is the larger
-    only for eta above 3; in integers, since at eta = 1e200 it is past the
-    float range."""
+    """K: the rows m < K of an eta Gram matrix of degree n are summed in
+    the band of its head, and the rows past K by :func:`_eta_far`.  The
+    second term, which keeps |e_1(h)| <= (eta+1)(eta+3+2n)/2 below K/16,
+    is the larger only for eta above 3; in integers, since at eta = 1e200
+    it is past the float range."""
     return max(4096 + 64 * n, 8 * math.ceil(eta + 1) * math.ceil(eta + 3 + 2 * n))
 
 
-#: Rows an eta Gram pass may sum, in one array.  A head past it belongs
+#: Rows an eta Gram band may sum, in one array.  A head past it belongs
 #: to eta above about 1400, whose coefficients overflow before index 260,
 #: or to n above about 2.6e5, whose Gram matrix alone is past a terabyte.
 _ETA_MAX_HEAD = 1 << 24
 
 
 def _eta_split(eta: float, length: int, n: int, alpha: float):
-    """The float Gram pass over an eta series longer than
+    """The float Gram band over an eta series longer than
     _eta_head(eta, n) + 1 sums its head and takes the rest from
     :func:`_eta_far`.  A ConditioningError when the head it would sum has
     more than _ETA_MAX_HEAD rows."""
@@ -412,7 +412,7 @@ def _json_parts(c: dict) -> tuple:
     _known_keys(c, ("re", "im"), "complex value")
     parts = (c.get("re", 0), c.get("im", 0))
     if not all(_is_number(x) or isinstance(x, str) for x in parts):
-        raise SpecValidationError(f"bad complex value {c!r}")
+        raise SpecValidationError(f"bad complex value {c!r:.40}")
     return parts
 
 
@@ -438,7 +438,7 @@ def spec_from_json(obj, backend: str = "exact") -> FunctionSpec:
                 elif isinstance(c, str) or _is_number(c):
                     coeffs.append(complex(_finite_float(c)))
                 else:
-                    raise SpecValidationError(f"bad coefficient {c!r}")
+                    raise SpecValidationError(f"bad coefficient {c!r:.40}")
         return FunctionSpec("explicit", {"coefficients": coeffs}, backend)
     family = obj.get("family")
     if family == "explicit":

@@ -7,8 +7,8 @@ coefficients degree by degree together with the reflection coefficients
 Gamma_n, and the infinite product of (1 - |Gamma_n|^2) characterizes
 outer functions.  The column is column 0 of ``spaces.gram_matrix(f, n,
 0)``, the matrix every other solver factors: in floats, the n+1 lags of
-one pass over f's head plus a truncated family's far part, so such a
-family is never held whole.
+f's head plus a truncated family's far part, so such a family is never
+held whole.
 
 The recursion runs over arrays in both backends: the coefficients of
 every degree are the rows of one array of the backend's scalars

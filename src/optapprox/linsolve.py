@@ -63,8 +63,8 @@ _INNER = 160
 def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B, added into ``out`` when given, summed from pieces of at most
     _GEMM_MACS multiply-adds.  A long inner dimension (as long as B is wide,
-    as in the Gram and certificate products) is cut into blocks while all of
-    the output fits in one piece.  Otherwise every piece is a tile of the
+    as in the basis certificate) is cut into blocks while all of the
+    output fits in one piece.  Otherwise every piece is a tile of the
     output about as tall as it is wide, over blocks of at most _INNER of the
     inner dimension: a short inner dimension cut into blocks, or a long one
     left whole, gives pieces too thin to run fast (down to one column)."""

@@ -8,7 +8,7 @@ conjugation elementwise to both, so each operation here has one body.
 
 A truncated family of ``families.py`` is instead a
 :class:`TruncatedSeries`, whose coefficients a rule gives on demand: a
-float Gram pass reads only the short :meth:`Series.head` that
+float Gram band reads only the short :meth:`Series.head` that
 :meth:`Series.gram_split` names and takes the rest of each entry from the
 family, :meth:`Series.tail_sq` bounds the infinite tail it leaves out,
 and :meth:`Series.require_in_space` refuses it where that tail diverges.
@@ -120,10 +120,8 @@ class Series:
         return self.coeffs[0]
 
     def head(self, m: int) -> np.ndarray:
-        """The first m float coefficients: a float64 array when they are
-        all real, a complex128 one otherwise."""
-        c = self.coeffs[:m]
-        return c if c.imag.any() else c.real
+        """The first m float coefficients."""
+        return self.coeffs[:m]
 
     def to_float(self) -> "Series":
         return self if self.backend == "float" else Series.from_complex(self.coeffs)
@@ -141,7 +139,7 @@ class Series:
         such (a ConditioningError)."""
 
     def gram_split(self, n: int, alpha: float):
-        """Where the float Gram pass of degree n over this series may stop:
+        """Where the float Gram band of degree n over this series may stop:
         None to sum every row, or (K, far) to sum the rows m < K, which read
         the head of K coefficients, and add ``far``, the rest of the sum as
         the series gives it (the matrix, or at alpha = 0 the n+1 lags)."""

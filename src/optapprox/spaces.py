@@ -7,17 +7,14 @@ alpha, so that every weight (k+1)^alpha stays rational.
 
 :func:`gram_matrix` builds the Gram matrix of shifted inner products in
 the form ``linsolve.factor`` takes, and every consumer reads that form,
-Levinson's alpha = 0 column included.  The float one is one blocked
-matrix product F^H W F over the coefficients, or at alpha = 0 the n+1
-lags of its Toeplitz column, summed in one pass over blocks of rows.  A
-truncated family is a short head plus its own far part
-(``Series.gram_split``): the pass sums the rows of the head, n+1 of them
-for a Blaschke factor and a few thousand for the eta family, and the
+Levinson's alpha = 0 column included.  Both backends read it off one band
+body, :func:`_band`.  A truncated family is a short head plus its own far
+part (``Series.gram_split``): the band sums the rows of the head, n+1 of
+them for a Blaschke factor and a few thousand for the eta family, and the
 family gives the rest of each entry in closed form, so the cost does not
-grow with the truncation.  The exact one is the band of its integer
-numerators over one common denominator.  :func:`truncation_error` bounds
-how far the matrix of a truncated family lies from that of the function,
-by the family's own tail rule ``Series.tail_sq``, which refuses, as
+grow with the truncation.  :func:`truncation_error` bounds how far the
+matrix of a truncated family lies from that of the function, by the
+family's own tail rule ``Series.tail_sq``, which refuses, as
 ``Series.require_in_space`` does, a function outside D_alpha.
 
 :func:`inner` is the one reference inner product, with one float and one
@@ -30,16 +27,14 @@ of the package calls :func:`shifted_inner` or :func:`weighted_inner`.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
 from .errors import BackendMismatchError, ConditioningError, ZeroAtOriginError
 from .exact import ExactComplex
-from .linsolve import IntegerMatrix, _product
+from .linsolve import IntegerMatrix
 from .series import Series, poly_mul, shift
 
 
@@ -85,66 +80,67 @@ def weighted_inner(p: Series, q: Series, f: Series, alpha):
     return inner(poly_mul(p, f), poly_mul(q, f), alpha)
 
 
-#: Rows of F per block of the float Gram product: the temporaries of one
-#: block hold _GRAM_BLOCK x (n+1) entries, whatever the series length.
-_GRAM_BLOCK = 1 << 14
-
 #: The smallest normal float: a float |f(0)|^2, or a whole Gram matrix,
 #: below it has lost its relative precision.
 TINY = np.finfo(float).tiny
 
 
+def _band(re, im, w, n: int):
+    """The band of the Gram matrix of a = re + i im (im None for a real a)
+    of degree d, under the weights w[m], m <= n + d: diagonal t <= min(d, n)
+    is G_{k,k+t} = sum_i w[k+t+i] a_{i+t} conj(a_i), k <= n - t, one
+    correlation of w with the lag product a_{i+t} conj(a_i).  w None means
+    every weight is 1 (alpha = 0): diagonal t is then the one lag r_t, and
+    the lags r_0..r_n are correlations of the zero-padded a with itself.
+    Returns (real, imaginary) parts indexed by t, the second None for a
+    real a; exact over object arrays of Python ints, with O(d) temporaries."""
+    d = len(re) - 1
+    if w is None:
+        def lags(x, y):   # sum_i x_{i+t} y_i, t = 0..n: y is padded with n zeros
+            return np.correlate(np.concatenate((np.zeros(n, y.dtype), y)), x)[::-1]
+        if im is None:
+            return lags(re, re), None
+        return lags(re, re) + lags(im, im), lags(im, re) - lags(re, im)
+    x, y = [], None if im is None else []
+    for t in range(min(d, n) + 1):
+        e = d + 1 - t
+        p = re[t:] * re[:e]
+        if im is not None:
+            p += im[t:] * im[:e]
+            y.append(np.correlate(w[t: n + e], im[t:] * re[:e] - re[t:] * im[:e]))
+        x.append(np.correlate(w[t: n + e], p))
+    return x, y
+
+
 @np.errstate(over="ignore", invalid="ignore")  # reported below
 def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
-    """The float :func:`gram_matrix`, from one pass over blocks of rows of
-    the head of f.  A ConditioningError when an entry overflows, or when
-    every entry is below TINY without all being 0 (a zero matrix is left to
-    the solvers' pivot checks)."""
+    """The float :func:`gram_matrix`, from the band of the head of f."""
     alpha = float(alpha)
-    lags = alpha == 0
-    rows, far = f.gram_split(n, alpha) or (len(f) + (0 if lags else n), None)
-    head = f.head(rows)
-    dtype = head.dtype
-    # f_{-n}, ..., f_{rows-1}, zero outside the head: row m of F reads
-    # pad[m: m + n + 1], reversed
-    pad = np.zeros(n + rows, dtype)
-    pad[n: n + len(head)] = head
-    # the work arrays of one block, reused from block to block: fresh ones
-    # cost page faults, which tripled the time of a pass at n = 8
-    size = min(_GRAM_BLOCK, rows)
-    if lags:
-        conj = np.empty(size, dtype)
+    rows, far = f.gram_split(n, alpha) or (len(f) + n, None)
+    a = f.head(rows)
+    re, im = a.real, a.imag if a.imag.any() else None
+    if alpha == 0:
+        # Toeplitz, G_kl = r_{l-k} for l >= k, with r_0 real
+        x, y = _band(re, im, None, n)
+        r = x + 1j * (0 if y is None else y)
+        if far is not None:
+            r += far.conj()   # the far part of the first column, G_t0
+        r[0] = r[0].real
+        M = toeplitz(r.conj(), r)
     else:
-        base = np.arange(1, size + 1, dtype=np.float64)
-        w = np.empty(size)
-        A, C = np.empty((n + 1, size), dtype), np.empty((n + 1, size), dtype)
-    acc = np.zeros(n + 1 if lags else (n + 1, n + 1), dtype=dtype)
-    for start in range(0, rows, _GRAM_BLOCK):
-        # rows m = start..start+L-1, from f_{start-n} .. f_{start+L-1}
-        L = min(_GRAM_BLOCK, rows - start)
-        seg = pad[start: start + n + L]
-        # F's rows are held transposed, so that every elementwise pass runs
-        # along the series: Ft[k] = (f_{start-k}, ..., f_{start+L-1-k})
-        Ft = sliding_window_view(seg, L)[::-1]
-        if lags:
-            # conj(r_k) += sum_m conj(f_m) f_{m-k}, by einsum: as a BLAS
-            # matrix-vector product it goes to worker threads, and pieces
-            # of 31 x 2114 took up to 70 ms there, against 1 ms for the
-            # whole block by einsum (2 vCPUs)
-            acc += np.einsum("kl,l->k", Ft, np.conjugate(seg[n:], out=conj[:L]))
-        else:
-            np.power(np.add(base[:L], start, out=w[:L]), alpha, out=w[:L])
-            _product(np.multiply(Ft, w[:L], out=A[:, :L]),
-                     np.conjugate(Ft, out=C[:, :L]).T, acc)
-    if far is not None:
-        acc += far
-    if lags:
-        # Toeplitz, with first column conj(r_k) and r_0 real
-        c = acc.astype(np.complex128)
-        c[0] = c[0].real
-        M = toeplitz(c, c.conj())
-    else:
-        M = (acc + acc.conj().T).astype(np.complex128) / 2
+        # before the weights, so that an order no memory holds fails first
+        M = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        w = np.arange(1.0, n + len(a) + 1) ** alpha
+        w[rows:] = 0   # the head sums the rows m < rows and nothing past them
+        x, y = _band(re, im, w, n)
+        flat = M.reshape(-1)   # diagonal t runs on every (n+2)th entry
+        for t in range(len(x)):
+            v = x[t] if y is None else x[t] + 1j * y[t]
+            flat[t * (n + 1):: n + 2] = np.conj(v)
+            flat[t: (n + 1 - t) * (n + 1): n + 2] = v
+        if far is not None:
+            M += far
+            M = (M + M.conj().T) / 2
     if not np.isfinite(M).all():
         raise ConditioningError("float Gram matrix overflows the float range; "
                                 "use the exact backend")
@@ -156,32 +152,24 @@ def _gram_float(f: Series, n: int, alpha) -> np.ndarray:
 
 
 def gram_matrix(f: Series, n: int, alpha):
-    """(n+1)x(n+1) matrix of shifted inner products <z^k f, z^l f>_alpha,
-    in the form ``linsolve.factor`` takes.
+    """(n+1)x(n+1) matrix of shifted inner products <z^k f, z^l f>_alpha
+    = sum_m (m+1)^alpha f_{m-k} conj(f_{m-l}), in the form
+    ``linsolve.factor`` takes, read off the band of :func:`_band`.
 
-    Float backend: one product M = F^H W F, where row m of F holds
-    (f_m, f_{m-1}, ..., f_{m-n}) and W = diag((m+1)^alpha).  F is a
-    reversed sliding window over the zero-padded coefficients, and the
-    product is accumulated over blocks of _GRAM_BLOCK rows, so that its
-    temporaries do not grow with the series length.  A truncated family
-    stops the pass after a head, ``f.gram_split(n, alpha)``, and adds the
-    rows past it as it sums them itself, so the pass reads only
-    ``f.head(K)``.  Real coefficients (the eta family, say) run in
-    float64.  At alpha = 0 the matrix is Toeplitz, G_kl = conj(r_{k-l}),
-    and the pass sums only the n+1 lags r_j = sum_m f_m conj(f_{m-j}),
-    with r_0 real: O(M n) instead of O(M n^2).  The result is an exactly
-    Hermitian, read-only complex128 array; a matrix with an entry that is
-    not finite raises ConditioningError.
+    Float backend: the band of the head ``f.head(K)`` plus a truncated
+    family's far part, the rows m >= K, as ``f.gram_split(n, alpha)`` gives
+    them; a polynomial is its own head.  At alpha = 0 the matrix is
+    Toeplitz and only its lags are summed.  The result is an exactly
+    Hermitian, read-only complex128 array.  A ConditioningError when an
+    entry is not finite, or when every entry is below TINY without all
+    being 0 (a zero matrix is left to the solvers' pivot checks).
 
     Exact backend: an :class:`~optapprox.linsolve.IntegerMatrix`.  With
     f = a / c for integral a (c the lcm of the coefficients'
     denominators), and W = lcm((m+1)^|alpha|) for alpha < 0 (else 1), the
-    numerator of G_kl is sum_m W (m+1)^alpha a_{m-k} conj(a_{m-l}) and the
-    denominator is c^2 W.  Numerators are ints for real f and (re, im)
-    Gaussian-integer pairs for complex f.  For f of degree d the matrix is a
-    Hermitian band, G_kl = 0 when |k - l| > d, so only the band is computed
-    and stored: O(n d^2) products of small integers.  ``to_exact()`` gives
-    its rows of exact scalars.
+    numerators are the band of a under the weights W (m+1)^alpha and the
+    denominator is c^2 W: ints for real f and (re, im) Gaussian-integer
+    pairs for complex f.  ``to_exact()`` gives its rows of exact scalars.
     """
     _check_alpha(f.backend, alpha)
     if f.backend == "float":
@@ -190,8 +178,8 @@ def gram_matrix(f: Series, n: int, alpha):
     coeffs = f.coeffs[: f.degree + 1]
     d = len(coeffs) - 1
     c = math.lcm(*(q.denominator for x in coeffs for q in (x.re, x.im)))
-    re = [x.re.numerator * (c // x.re.denominator) for x in coeffs]
-    im = [x.im.numerator * (c // x.im.denominator) for x in coeffs]
+    re = np.array([x.re.numerator * (c // x.re.denominator) for x in coeffs], dtype=object)
+    im = np.array([x.im.numerator * (c // x.im.denominator) for x in coeffs], dtype=object)
     gaussian = any(im)
     # w[m] = W (m+1)^alpha for m = 0..n+d, the range the band reads
     if alpha >= 0:
@@ -199,18 +187,14 @@ def gram_matrix(f: Series, n: int, alpha):
     else:
         W = math.lcm(*range(1, n + d + 2)) ** -alpha
         w = [W // (m + 1) ** -alpha for m in range(n + d + 1)]
+    x, y = _band(re, im if gaussian else None, np.array(w, dtype=object), n)
     rows = tuple({} for _ in range(n + 1))
-    for t in range(min(d, n) + 1):
-        # G_{k,k+t} = sum_i w[k+t+i] a_{i+t} conj(a_i), i = 0..d-t
-        pr = [re[i + t] * re[i] + im[i + t] * im[i] for i in range(d - t + 1)]
-        pi = [im[i + t] * re[i] - re[i + t] * im[i] for i in range(d - t + 1)]
+    for t in range(len(x)):
         for k in range(n + 1 - t):
-            ws = w[k + t: k + d + 1]
-            x = sum(map(operator.mul, ws, pr))
-            y = sum(map(operator.mul, ws, pi)) if gaussian else 0
-            if x or y:
-                rows[k][k + t] = (x, y) if gaussian else x
-                rows[k + t][k] = (x, -y) if gaussian else x
+            p, q = x[t][k], y[t][k] if gaussian else 0
+            if p or q:
+                rows[k][k + t] = (p, q) if gaussian else p
+                rows[k + t][k] = (p, -q) if gaussian else p
     return IntegerMatrix(rows, c * c * W, gaussian)
 
 

@@ -608,6 +608,26 @@ def test_spec_error_names_families(capsys):
     assert json.loads(err)["module"] == "families"
 
 
+_ZEROS = json.dumps([0] * 100000)
+
+
+@pytest.mark.parametrize("backend, spec", [
+    ("exact", '{"coefficients":[1,%s]}' % _ZEROS),
+    ("float", '{"coefficients":[1,%s]}' % _ZEROS),
+    ("float", '{"coefficients":[1,{"re":%s}]}' % _ZEROS),
+    ("float", '{"family":"blaschke","params":{"lambda":{"re":%s}}}' % _ZEROS),
+    ("float", '{"family":"%s"}' % ("x" * 100000)),
+], ids=["exact-coefficient", "float-coefficient", "complex-value", "blaschke-lambda",
+        "family-name"])
+def test_rejected_spec_is_not_echoed_whole(capsys, backend, spec):
+    # the error message quotes the start of a rejected value, so that stderr
+    # does not grow with the input
+    code, out, err = run(capsys, "approximant", "--n", "1", "--backend", backend, "--f", spec)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecValidationError"
+    assert len(err.encode()) < 512
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "1e400"])
 def test_non_finite_alpha_is_json_validation_error(capsys, alpha, backend):

@@ -138,7 +138,7 @@ def test_exact_spec_contract(coeffs, alpha, n, command):
 @st.composite
 def family_specs(draw):
     """A float eta or Blaschke spec, with its eta (None for Blaschke).  A
-    Blaschke truncation may be below n, where its Gram pass sums every row."""
+    Blaschke truncation may be below n, where its Gram band sums every row."""
     if draw(st.booleans()):
         eta = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 2.0)))
         truncation = draw(st.integers(64, 5000))

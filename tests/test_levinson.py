@@ -70,7 +70,7 @@ class TestToeplitzColumn:
             assert type(col[0]) is complex and col[0].imag == 0.0
 
     def test_truncated_family_is_not_held_whole(self):
-        # the pass reads a head of a few thousand of the 1e6 coefficients
+        # the band reads a head of a few thousand of the 1e6 coefficients
         f = realize(FunctionSpec("eta_family", {"eta": 0.3, "truncation": 10 ** 6}, "float"))
         tracemalloc.start()
         try:

@@ -16,7 +16,7 @@ from optapprox.errors import (BackendMismatchError, ConditioningError,
 from optapprox import families
 from optapprox.families import _eta_head
 from optapprox.linsolve import _product
-from optapprox.spaces import _GRAM_BLOCK, _f0_nonzero
+from optapprox.spaces import _f0_nonzero
 from optapprox.zeros import _first_zero_of
 
 from conftest import (FIXED_BITS, blaschke_fixed_point, cofactor_det, eta_fixed_point,
@@ -210,7 +210,9 @@ def test_norm_shift_bounds(rng):
                 2.0 ** alpha * norm_sq(F, alpha) * (1 - 1e-12)
 
 
-# -- the float Gram kernel F^H W F against single shifted inner products ----
+# -- the float Gram band against single shifted inner products ------------
+
+_GRAM_BLOCK = 1 << 14   # the block edges of an earlier blocked Gram pass
 
 GRAM_ALPHAS = (-2, -1.5, -0.5, 0, 0.5, 1, 2)
 
@@ -319,8 +321,7 @@ class TestFloatGramKernel:
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     def test_block_edges(self, complex_coeffs):
-        # F has len(f) + n rows; cover row counts and series lengths next
-        # to one and two blocks
+        # series lengths next to the row counts that were one and two blocks
         n = 3
         rng = np.random.default_rng(7)
         lengths = (_GRAM_BLOCK - n - 1, _GRAM_BLOCK - n, _GRAM_BLOCK - n + 1,
@@ -334,8 +335,21 @@ class TestFloatGramKernel:
             for alpha in (-1.5, 0, 2):
                 assert_gram_matches_shifted_inner(f, n, alpha)
 
+    def test_long_series_gram_in_memory_of_its_length(self, rng):
+        # every temporary of the band holds O(len(f)) entries: the peak stays
+        # below half of one (n+1) x len(f) complex array (72 MB here)
+        M, n = 10 ** 6, 8
+        f = Series.from_complex(rng.standard_normal(M) + 1j * rng.standard_normal(M))
+        tracemalloc.start()
+        try:
+            gram_matrix(f, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) * M * 16 // 2
+
     def test_products_split_into_pieces(self, rng):
-        # n = 130 sums each block's product from pieces of a few rows
+        # n = 130, far past the degree: the band of 7 diagonals
         for complex_coeffs in (False, True):
             f = random_poly(rng, 6, complex_coeffs=complex_coeffs)
             for alpha in (-1.5, 0.5):
@@ -434,7 +448,7 @@ def test_block_series_gram_matches_stored(kind, length):
     # running float product, drift from those by up to 8e-13 relative at
     # 3.3e4, and an entry at alpha = 1 with them.  A Blaschke factor is held
     # to a sum over every row of its coefficients in fixed point; an eta
-    # series within its head is the pass over the stored series, byte for
+    # series within its head is the band of the stored series, byte for
     # byte
     if kind == "eta":
         f = eta_series(0.7, length - 1)
@@ -461,11 +475,11 @@ def test_block_series_gram_matches_stored(kind, length):
 @pytest.mark.parametrize("lam", [0.3, -0.95, 0.6 - 0.5j, 0.2j, 1e-40, 2e-20j,
                                  pytest.param(0.9995 * np.exp(0.4j), id="0.9995e^0.4j")])
 def test_blaschke_far_part_matches_a_sum_over_every_row(lam):
-    # the pass sums the rows m <= n and the rows past n in closed form;
+    # the band sums the rows m <= n, the far part those past n in closed form;
     # held to a sum over every row of the coefficients in fixed point, at
     # truncations below and above n.  At alpha = 0 the factor is inner: the
     # Gram matrix of the function is the identity, from which that of the
-    # truncation lies within truncation_error, and the pass within rounding
+    # truncation lies within truncation_error, and the band within rounding
     for M in (3, 40, 6000):
         f = blaschke_series(lam, M)
         exact = Series.from_complex(blaschke_fixed_point(lam, M + 1))
@@ -493,7 +507,7 @@ def test_blaschke_dirichlet_gram_near_the_circle():
 
 @pytest.mark.parametrize("M", [10 ** 5, 10 ** 7, 10 ** 12])
 def test_eta_gram_cost_does_not_grow_with_the_truncation(monkeypatch, M):
-    # the pass reads a head of K = _eta_head(eta, n) eta coefficients, or
+    # the band reads a head of K = _eta_head(eta, n) eta coefficients, or
     # of n + 1 Blaschke ones, and the far parts read none
     counted = []
     for name in ("_eta_coefficients", "_blaschke_coefficients"):

@@ -254,7 +254,7 @@ class TestFirstZero:
         assert tail == math.inf and value == first_zero(f, 0)
 
     def test_eta_first_zero_holds_no_series(self):
-        # the pass reads a head of a few thousand of the 1e7 coefficients
+        # the band reads a head of a few thousand of the 1e7 coefficients
         f = realize(FunctionSpec("eta_family", {"eta": 0.8, "truncation": 10 ** 7},
                                  "float"))
         tracemalloc.start()
