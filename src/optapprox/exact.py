@@ -79,9 +79,11 @@ class ExactComplex:
         o = _operand(other)
         if o is NotImplemented:
             return o
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if o.is_zero:
             raise ZeroDivisionError("division by exact zero")
+        if o.im == 0:   # a real divisor: the same quotient, without |o|^2
+            return ExactComplex(self.re / o.re, self.im / o.re)
+        d = o.re * o.re + o.im * o.im
         return ExactComplex((self.re * o.re + self.im * o.im) / d,
                             (self.im * o.re - self.re * o.im) / d)
 

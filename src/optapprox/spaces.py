@@ -85,6 +85,23 @@ def weighted_inner(p: Series, q: Series, f: Series, alpha):
 TINY = np.finfo(float).tiny
 
 
+#: Most terms in one dot product of the band: OpenBLAS threads a ``ddot``
+#: of more, against the rule that the float backend's BLAS calls stay on
+#: the calling thread (``linsolve``).
+_DOT_TERMS = 10_000
+
+
+def _correlate(a, v):
+    """``np.correlate(a, v)`` for len(a) >= len(v), each of its dot products
+    summed from pieces of at most _DOT_TERMS terms; the one call, bit for
+    bit, when v is no longer."""
+    k = len(a) - len(v)
+    out = np.correlate(a[: _DOT_TERMS + k], v[:_DOT_TERMS])
+    for s in range(_DOT_TERMS, len(v), _DOT_TERMS):
+        out += np.correlate(a[s: s + _DOT_TERMS + k], v[s: s + _DOT_TERMS])
+    return out
+
+
 def _band(re, im, w, n: int):
     """The band of the Gram matrix of a = re + i im (im None for a real a)
     of degree d, under the weights w[m], m <= n + d: diagonal t <= min(d, n)
@@ -97,7 +114,7 @@ def _band(re, im, w, n: int):
     d = len(re) - 1
     if w is None:
         def lags(x, y):   # sum_i x_{i+t} y_i, t = 0..n: y is padded with n zeros
-            return np.correlate(np.concatenate((np.zeros(n, y.dtype), y)), x)[::-1]
+            return _correlate(np.concatenate((np.zeros(n, y.dtype), y)), x)[::-1]
         if im is None:
             return lags(re, re), None
         return lags(re, re) + lags(im, im), lags(im, re) - lags(re, im)
@@ -107,8 +124,8 @@ def _band(re, im, w, n: int):
         p = re[t:] * re[:e]
         if im is not None:
             p += im[t:] * im[:e]
-            y.append(np.correlate(w[t: n + e], im[t:] * re[:e] - re[t:] * im[:e]))
-        x.append(np.correlate(w[t: n + e], p))
+            y.append(_correlate(w[t: n + e], im[t:] * re[:e] - re[t:] * im[:e]))
+        x.append(_correlate(w[t: n + e], p))
     return x, y
 
 

@@ -1,6 +1,7 @@
 """Toeplitz structure, Levinson recursion and the outer-function criterion
 (Hardy case, alpha = 0)."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -125,20 +126,37 @@ class TestLevinsonSolve:
                 assert abs(g) < 1.0
 
 
-_GAUSSIAN_INTEGERS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+@st.composite
+def _exact_polys(draw):
+    """Exact f of degree <= 5 with rational Gaussian coefficients, so that
+    the Gram denominator c^2 and |c f(0)|^2 are not 1, or real ones."""
+    part = st.fractions(-3, 3, max_denominator=6)
+    coeff = part.map(lambda x: (x, 0)) if draw(st.booleans()) else st.tuples(part, part)
+    return Series.exact(draw(st.lists(coeff, min_size=1, max_size=6)
+                             .filter(lambda a: a[0] != (0, 0))))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_GAUSSIAN_INTEGERS, min_size=1, max_size=4).filter(lambda a: a[0] != (0, 0)),
-       st.integers(0, 30))
-def test_exact_recursion_matches_the_scalar_oracle(coeffs, n):
+@settings(max_examples=40, deadline=None)
+@given(_exact_polys(), st.integers(0, 30))
+def test_exact_recursion_matches_the_scalar_oracle(f, n):
     # ExactComplex equality compares the Fraction parts exactly
-    f = Series.exact(coeffs)
     state = levinson_solve(f, n)
     p, gammas, history = levinson_oracle(f, n)
     assert tuple(state.coeffs.coeffs) == p
     assert state.gammas == gammas
     assert state.history == history
+
+
+def test_exact_recursion_at_large_degree():
+    # (1+z)^3 at n = 100 took 0.47 s with Fraction arithmetic in the loop
+    f = Series.exact([1, 3, 3, 1])
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        state = levinson_solve(f, 100)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.1
+    assert tuple(state.coeffs.coeffs) == tuple(optimal(f, 100, 0).p.coeffs)
 
 
 LADDER = (100, 150, 200, 250)   # the degrees of the float-dense levinson cells

@@ -348,6 +348,22 @@ class TestFloatGramKernel:
             tracemalloc.stop()
         assert peak < (n + 1) * M * 16 // 2
 
+    def test_band_dot_products_stay_on_the_calling_thread(self, rng, monkeypatch):
+        # OpenBLAS threads a ddot of more than 10,000 terms, and np.correlate
+        # makes one ddot of len(v) terms per output
+        terms, correlate = [], np.correlate
+
+        def recorded(a, v, *args):
+            terms.append(min(len(a), len(v)))
+            return correlate(a, v, *args)
+
+        monkeypatch.setattr(np, "correlate", recorded)
+        M = 10 ** 5
+        f = Series.from_complex(rng.standard_normal(M) + 1j * rng.standard_normal(M))
+        for alpha in (0, 1):
+            assert_gram_matches_shifted_inner(f, 4, alpha)
+        assert 0 < max(terms) <= 10_000
+
     def test_products_split_into_pieces(self, rng):
         # n = 130, far past the degree: the band of 7 diagonals
         for complex_coeffs in (False, True):
