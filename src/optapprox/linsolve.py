@@ -5,12 +5,14 @@ triangular and L^-1 B, for B = b0 e_0 or B = I; :func:`solve` reads the
 leading systems G[:m, :m] x = B[:m, 0] off it, and :func:`forward` L^-1 B
 and D.  Float backend: Cholesky factorization, condition estimate from
 the factor.  Exact backend: fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968) over the integers or the Gaussian integers of an
-:class:`IntegerMatrix`, integer numerators over one denominator that
-store only the nonzero entries, the form in which ``spaces.gram_matrix``
-builds the exact Gram band (rows of exact scalars are scaled by the lcm of
-their denominators).  It skips zeros (see :func:`_eliminate`), so a band of
-width d costs O(n d^2) big-int steps.  Fractions appear only in results.
+Comp. 22, 1968) of the one exact matrix the package factors, the
+Hermitian Gram band that ``spaces.gram_matrix`` builds as an
+:class:`IntegerMatrix`: integer numerators over one denominator, ints for
+real f and Gaussian integers for complex f, that store only the nonzero
+entries.  Its leading minors are real, so the pivots, the divisors and the
+denominators of the results are ints in both rings.  The elimination skips
+zeros (see :func:`_eliminate`), so a band of width d costs O(n d^2)
+big-int steps.  Fractions appear only in results.
 
 Every BLAS and LAPACK call of the float backend runs on the calling
 thread.  OpenBLAS hands ``zpotrf`` of order 64 and up, ``ztrtri`` of order
@@ -142,34 +144,26 @@ def _inverse(U: np.ndarray, inverses: list) -> np.ndarray:
 
 
 # Exact elimination runs over a ring: the integers for real matrices and
-# the Gaussian integers, as (re, im) pairs of ints, for complex ones.
+# the Gaussian integers, as (re, im) pairs of ints, for complex ones.  The
+# matrix is Hermitian, so its leading minors are real: every pivot and
+# every divisor is an int in both rings.
 
-def _gmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _gsub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _gdiv(a, b):
-    """Quotient a / b of Gaussian integers, for b dividing a."""
-    br, bi = b
-    if bi == 0:
-        return a[0] // br, a[1] // br
-    nb = br * br + bi * bi
-    return (a[0] * br + a[1] * bi) // nb, (a[1] * br - a[0] * bi) // nb
+def _gmsub(c, a, b):
+    """c - a b for Gaussian integers."""
+    return c[0] - a[0] * b[0] + a[1] * b[1], c[1] - a[0] * b[1] - a[1] * b[0]
 
 
-#: zero, one, product, difference and exact quotient of each ring
-_INTEGERS = (0, 1, operator.mul, operator.sub, operator.floordiv)
-_GAUSSIAN = ((0, 0), (1, 0), _gmul, _gsub, _gdiv)
+#: zero, c - a b, product with an int and exact quotient by an int of each ring
+_INTEGERS = (0, lambda c, a, b: c - a * b, operator.mul, operator.floordiv)
+_GAUSSIAN = ((0, 0), _gmsub, lambda a, s: (a[0] * s, a[1] * s),
+             lambda a, d: (a[0] // d, a[1] // d))
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """An exact square matrix as integer numerators over one common
-    denominator.
+    """A Hermitian matrix as integer numerators over one common
+    denominator, the form in which ``spaces.gram_matrix`` builds the exact
+    Gram band and the one exact input of :func:`factor`.
 
     ``rows[i]`` maps a column j to the numerator of entry (i, j): a Python
     int, or, when ``gaussian``, a Gaussian integer as an (re, im) pair of
@@ -189,43 +183,14 @@ class IntegerMatrix:
                            for j in range(n)) for row in self.rows)
 
 
-def _as_integer(M) -> IntegerMatrix:
-    """M itself, or M given as rows of exact scalars over the lcm of its
-    denominators."""
-    if isinstance(M, IntegerMatrix):
-        return M
-    lcm = 1
-    for row in M:
-        for x in row:
-            lcm = math.lcm(lcm, x.re.denominator, x.im.denominator)
-
-    def scaled(q):
-        return q.numerator * (lcm // q.denominator)
-
-    if any(x.im for row in M for x in row):
-        return IntegerMatrix(tuple({j: (scaled(x.re), scaled(x.im))
-                                    for j, x in enumerate(row) if not x.is_zero}
-                                   for row in M), lcm, True)
-    return IntegerMatrix(tuple({j: scaled(x.re) for j, x in enumerate(row) if x.re}
-                               for row in M), lcm, False)
-
-
-def _working_rows(A: IntegerMatrix, gaussian: bool) -> list:
-    """Copies of A's rows for the elimination to overwrite, as Gaussian
-    integers when ``gaussian``."""
-    if gaussian and not A.gaussian:
-        return [{j: (x, 0) for j, x in row.items()} for row in A.rows]
-    return [dict(row) for row in A.rows]
-
-
 def _eliminate(rows, n: int, ring) -> list:
     """Fraction-free forward elimination on the first n columns, in place;
     returns the leading principal minors Delta_0 = 1, Delta_1..Delta_n of
-    the matrix A held in those columns.
+    the Hermitian matrix A held in those columns, as ints.
 
     The rows are dicts {column: entry}; an absent column holds a zero.
     Afterwards row k, from column k on, is Delta_k times row k of
-    L^-1 [A | rest], where A = L D U and L is unit lower triangular, so the
+    L^-1 [A | rest], where A = L D L^H and L is unit lower triangular, so the
     pivot rows[k][k] is Delta_{k+1}; columns left of k are dropped.  Each
     quotient is exact, because every entry it produces is a minor of
     [A | rest].
@@ -243,19 +208,20 @@ def _eliminate(rows, n: int, ring) -> list:
     entries left of the augmented columns: O(n d^2) big-int steps, not
     O(n^3).  Raises DegenerateError on a zero pivot before the last.
     """
-    zero, one, mul, sub, div = ring
-    minors = [one]
+    zero, msub, scale, div = ring
+    minors = [1]
     level = [0] * n     # the leading minor each row was last brought to
     for k in range(n):
         rk = rows[k]
         if level[k] < k:
             s, t = minors[k], minors[level[k]]
-            rows[k] = rk = {j: div(mul(x, s), t) for j, x in rk.items() if j >= k}
+            rows[k] = rk = {j: div(scale(x, s), t) for j, x in rk.items() if j >= k}
         pivot = rk.get(k, zero)
+        pivot = pivot[0] if isinstance(pivot, tuple) else pivot   # real: a minor
         minors.append(pivot)
         if k == n - 1:
             break
-        if pivot == zero:
+        if pivot == 0:
             raise DegenerateError("zero pivot in exact elimination; matrix is singular")
         tail = {j: y for j, y in rk.items() if j > k}
         for i in range(k + 1, n):
@@ -264,21 +230,16 @@ def _eliminate(rows, n: int, ring) -> list:
             if a == zero:
                 continue
             d = minors[level[i]]
-            new = {j: div(mul(x, pivot), d) for j, x in ri.items() if j > k and j not in tail}
+            new = {j: div(scale(x, pivot), d) for j, x in ri.items() if j > k and j not in tail}
             for j, y in tail.items():
-                new[j] = div(sub(mul(ri.get(j, zero), pivot), mul(a, y)), d)
+                new[j] = div(msub(scale(ri.get(j, zero), pivot), a, y), d)
             rows[i] = new
             level[i] = k + 1
     return minors
 
 
-def _quotient(x, d) -> ExactComplex:
-    """x / d as an exact scalar, for ints or Gaussian-integer pairs."""
-    if isinstance(d, tuple):
-        if d[1]:
-            x, d = _gmul(x, (d[0], -d[1])), d[0] * d[0] + d[1] * d[1]
-        else:
-            d = d[0]
+def _quotient(x, d: int) -> ExactComplex:
+    """x / d as an exact scalar, for an int or Gaussian-integer pair x."""
     if isinstance(x, tuple):
         return ExactComplex(Fraction(x[0], d), Fraction(x[1], d))
     return ExactComplex(Fraction(x, d))
@@ -292,30 +253,28 @@ class _FloatFactor:
 
 
 class _ExactFactor:
-    def __init__(self, G, b0):
-        # [A | C] after _eliminate, for A = den G and C = q B
-        A = _as_integer(G)
-        n = len(A.rows)
-        q = 1 if b0 is None else math.lcm(b0.re.denominator, b0.im.denominator)
-        gaussian = A.gaussian or (b0 is not None and b0.im != 0)
-        self.ring = _GAUSSIAN if gaussian else _INTEGERS
-        self.rows = _working_rows(A, gaussian)
+    def __init__(self, G: IntegerMatrix, b0):
+        # [A | C] after _eliminate, for A = den G and C = q B, both real or
+        # both Gaussian
+        n, gaussian = len(G.rows), G.gaussian
+        self.ring, self.rows = _GAUSSIAN if gaussian else _INTEGERS, [dict(r) for r in G.rows]
+        self.den, self.identity = G.denominator, b0 is None
+        self.q = 1 if b0 is None else math.lcm(b0.re.denominator, b0.im.denominator)
         if b0 is None:
             for k, row in enumerate(self.rows):
-                row[n + k] = self.ring[1]
+                row[n + k] = (1, 0) if gaussian else 1
         elif not b0.is_zero:
-            re = b0.re.numerator * (q // b0.re.denominator)
-            self.rows[0][n] = (re, b0.im.numerator * (q // b0.im.denominator)) if gaussian else re
+            re, im = (b0.re * self.q).numerator, (b0.im * self.q).numerator
+            self.rows[0][n] = (re, im) if gaussian else re
         self.minors = _eliminate(self.rows, n, self.ring)
-        self.den, self.q = ((x, 0) if gaussian else x for x in (A.denominator, q))
-        self.identity = b0 is None
 
 
 def factor(G, b0=None):
     """G = L D L^H and L^-1 B, for B = b0 e_0, or B = I when b0 is None: a
     Cholesky factorization of a complex ndarray G, or a fraction-free
-    elimination of [G | B] for an exact G (an IntegerMatrix or rows of
-    exact scalars, with b0 an exact scalar)."""
+    elimination of [G | B] for the :class:`IntegerMatrix` of
+    ``spaces.gram_matrix``, with b0 an exact scalar that is real when G
+    is."""
     return (_FloatFactor if isinstance(G, np.ndarray) else _ExactFactor)(G, b0)
 
 
@@ -348,25 +307,23 @@ def solve(F, sizes=None):
         sizes = (len(F.b),) if sizes is None else sizes
         _refuse(F, sizes)
         return np.concatenate([zpotrs(F.U[:m, :m], F.b[:m])[0] for m in sizes])
-    zero, _, mul, sub, div = F.ring
+    zero, msub, scale, div = F.ring
     n, rows, out = len(F.minors) - 1, F.rows, []
     for m in (n,) if sizes is None else sizes:
         det = F.minors[m]
-        if det == zero:
+        if det == 0:
             raise DegenerateError("zero pivot in exact back substitution")
         # Back substitution over the nonzero entries of U for y = det * z,
         # where A z = C e_0: y is integral by Cramer's rule, so each
-        # division by a pivot is exact; x = den y / (det q).
+        # division by a pivot Delta_{i+1} is exact; x = den y / (det q).
         y = [None] * m
         for i in range(m - 1, -1, -1):
-            row = rows[i]
-            acc = mul(row.get(n, zero), det)
-            for j, u in row.items():
+            acc = scale(rows[i].get(n, zero), det)
+            for j, u in rows[i].items():
                 if i < j < m:
-                    acc = sub(acc, mul(u, y[j]))
-            y[i] = div(acc, row[i])
-        d = mul(det, F.q)
-        out.extend(_quotient(mul(v, F.den), d) for v in y)
+                    acc = msub(acc, u, y[j])
+            y[i] = div(acc, F.minors[i + 1])
+        out.extend(_quotient(scale(v, F.den), det * F.q) for v in y)
     return tuple(out)
 
 
@@ -387,11 +344,11 @@ def forward(F, sizes=()):
         else:            # one triangular solve U^H y = b; L^-1 b = d y
             LB = d[:, None] * ztrtrs(F.U, F.b[:, None], trans=2)[0]
         return LB, (d * d).tolist()
-    zero, mul, minors, n = F.ring[0], F.ring[2], F.minors, len(F.minors) - 1
-    if minors[n] == zero:
+    zero, minors, n = F.ring[0], F.minors, len(F.minors) - 1
+    if minors[n] == 0:
         raise DegenerateError(f"zero weighted norm at degree {n - 1}")
     # row k of the eliminated [A | C] is Delta_k times that of L^-1 [A | C],
     # and D_k = Delta_{k+1} / (Delta_k den)
-    return ([tuple(_quotient(F.rows[k].get(n + j, zero), mul(minors[k], F.q))
+    return ([tuple(_quotient(F.rows[k].get(n + j, zero), minors[k] * F.q)
                    for j in range(k + 1 if F.identity else 1)) for k in range(n)],
-            [_quotient(minors[k + 1], mul(minors[k], F.den)).re for k in range(n)])
+            [Fraction(minors[k + 1], minors[k] * F.den) for k in range(n)])

@@ -417,14 +417,17 @@ def test_blaschke_tail_where_its_ratio_exponent_overflows(capsys, command, lam, 
      "ConditioningError", "families"),
     (("approximant", "--n", "500000000", "--alpha", "1", "--f", '{"coefficients":[1,0.5]}'),
      "MemoryError", "spaces"),
+    (("levinson", "--n", "100", "--f", '{"coefficients":[1,-8,28,-56,70,-56,28,-8,1]}'),
+     "BreakdownError", "levinson"),
 ], ids=["solve-conditioning", "gram-overflow", "far-part-overflow", "eta-head-limit",
-        "out-of-memory"])
+        "out-of-memory", "levinson-breakdown"])
 def test_error_names_the_module_that_raised_it(capsys, argv, error, module):
     # the condition check of the float solve and the float Gram check, also
     # where only the eta far part past the summed head overflows; an eta
     # head past 2^24 rows; and a Gram pass at n = 5e8, whose work arrays
     # (60 TiB) and matrix (2e18 bytes) no machine allocates, and which
-    # writes to no large array before them
+    # writes to no large array before them; and the float Levinson
+    # recursion, where rounding drives |Gamma_m| past 1
     code, out, err = run(capsys, *argv, "--backend", "float")
     assert code == 3 and out == ""
     payload = json.loads(err)

@@ -1,9 +1,11 @@
 """Toeplitz structure, Levinson recursion and the outer-function criterion
 (Hardy case, alpha = 0)."""
 
+import operator
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from optapprox import (ExactComplex, FunctionSpec, Series, gram_matrix,
                        levinson_solve, optimal, optimal_sweep, outer_criterion,
                        poly_roots, realize, shifted_inner, toeplitz_column)
-from optapprox.errors import ZeroAtOriginError
+from optapprox.errors import BreakdownError, ZeroAtOriginError
 
 from conftest import dense_poly, levinson_oracle, random_poly
 
@@ -103,6 +105,19 @@ class TestLevinsonSolve:
         with pytest.raises(ZeroAtOriginError):
             levinson_solve(Series.exact([0, 1]), 2)
 
+    def test_float_breakdown(self):
+        # rounding drives |Gamma_m| past 1 on (1-z)^8 at n = 100, whose
+        # Gram matrix has a condition number far past 1/eps.  The exact
+        # branch keeps the same check, |beta_m|^2 >= Delta_m^2, but no test
+        # reaches it: for f != 0 the Gram matrix is positive definite, so
+        # every Toeplitz minor Delta_m is positive and |Gamma_m| < 1.  The
+        # exact run on this f goes through, with every partial product
+        # Delta_{m+1} / (Delta_0 Delta_m) positive
+        f = Series.exact([1, -8, 28, -56, 70, -56, 28, -8, 1])
+        with pytest.raises(BreakdownError, match=r"^\|Gamma_67\|\^2 = 4\.15889 >= 1$"):
+            levinson_solve(f.to_float(), 100)
+        assert all(0 < p < 1 for p in levinson_solve(f, 100).partial_products)
+
     def test_matches_direct_solve_exact(self):
         f = Series.exact([2, (1, 1), -1])
         for n in (1, 3, 5):
@@ -145,6 +160,9 @@ def test_exact_recursion_matches_the_scalar_oracle(f, n):
     assert tuple(state.coeffs.coeffs) == p
     assert state.gammas == gammas
     assert state.history == history
+    # the minors' Delta_{m+1} / (Delta_0 Delta_m) is the running product
+    assert state.partial_products == tuple(
+        accumulate((1 - g.re * g.re - g.im * g.im for g in gammas), operator.mul))
 
 
 def test_exact_recursion_at_large_degree():
@@ -178,6 +196,9 @@ def test_float_recursion_at_large_degree(degree):
         assert np.abs(np.asarray(state.history[n // 2]) - history[n // 2]).max() <= 1e-13 * scale
         assert np.abs(c - sweep[n].p.coeffs).max() <= 1e-9 * scale
         assert type(state.gammas[0]) is complex
+        assert state.partial_products == tuple(
+            accumulate((1 - (g.real * g.real + g.imag * g.imag) for g in state.gammas),
+                       operator.mul))
 
 
 def reflection_coefficients(state):

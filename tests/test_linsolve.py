@@ -1,7 +1,8 @@
 """The one factorization of linsolve: solves, determinants and the monic
-orthogonal basis of exact fraction-free elimination, against oracles that
-share no code with it, the float reads against numpy, and one
-factorization per call of every public entry that needs one."""
+orthogonal basis of exact fraction-free elimination on the Hermitian
+integer band, against oracles that share no code with it, the float reads
+against numpy, and one factorization per call of every public entry that
+needs one."""
 
 import math
 from fractions import Fraction
@@ -13,12 +14,17 @@ from hypothesis import strategies as st
 
 from optapprox import ExactComplex, Series, basis, gram_matrix, weighted_inner
 from optapprox.errors import ConditioningError, DegenerateError, InstabilityError
-from optapprox.linsolve import factor, forward, solve
+from optapprox.linsolve import IntegerMatrix, factor, forward, solve
 
 from conftest import FACTORIZERS, cofactor_det, exact_gauss_solve
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 gaussian_rationals = st.builds(ExactComplex, rationals, rationals)
+
+
+def real_if(G, b0):
+    """b0, or its real part when G is real: b0 is real when G is."""
+    return b0 if G.gaussian else ExactComplex(b0.re)
 
 
 @st.composite
@@ -31,21 +37,12 @@ def functions(draw):
     return Series(tuple(coeffs))
 
 
-@st.composite
-def square_matrices(draw, max_size=4):
-    n = draw(st.integers(1, max_size))
-    return tuple(tuple(draw(gaussian_rationals) for _ in range(n)) for _ in range(n))
-
-
-def elimination_det(M):
-    """det M as the elimination of factor(M) leaves it: the last leading
+def elimination_det(G):
+    """det G as the elimination of factor(G) leaves it: the last leading
     minor over the n-th power of the common denominator."""
-    F = factor(M)
+    F = factor(G)
     n = len(F.minors) - 1
-    last = F.minors[n]
-    re, im = last if isinstance(last, tuple) else (last, 0)
-    den = (F.den[0] if isinstance(F.den, tuple) else F.den) ** n
-    return ExactComplex(Fraction(re, den), Fraction(im, den))
+    return ExactComplex(Fraction(F.minors[n], F.den ** n))
 
 
 def leading_minors_nonzero(M):
@@ -59,7 +56,7 @@ alphas = st.integers(-2, 2)
 def inverse_from_ldl(G):
     """G^-1 = L^-H D^-1 L^-1 from the forward read with B = I."""
     inv, norms = forward(factor(G))
-    n = len(G)
+    n = len(G.rows)
     L = [list(row) + [ExactComplex(0)] * (n - len(row)) for row in inv]
     return [[sum((L[k][i].conjugate() * L[k][j] / norms[k] for k in range(n)),
                  ExactComplex(0)) for j in range(n)] for i in range(n)]
@@ -68,45 +65,30 @@ def inverse_from_ldl(G):
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas, gaussian_rationals)
 def test_solve_matches_gauss_oracle_on_gram(f, n, alpha, b0):
-    G = gram_matrix(f, n, alpha).to_exact()
+    G = gram_matrix(f, n, alpha)
+    M, b0 = G.to_exact(), real_if(G, b0)
     e0 = (f.at0(),) + (ExactComplex(0),) * n
-    assert list(solve(factor(G, f.at0()))) == exact_gauss_solve(G, e0)
+    assert list(solve(factor(G, f.at0()))) == exact_gauss_solve(M, e0)
     rhs = (b0,) + (ExactComplex(0),) * n
-    assert list(solve(factor(G, b0))) == exact_gauss_solve(G, rhs)
+    assert list(solve(factor(G, b0))) == exact_gauss_solve(M, rhs)
     # every leading system from the one elimination, in the order asked for
     sizes = list(range(n + 1, 0, -1))
     leading = [x for m in sizes
-               for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
+               for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
     assert list(solve(factor(G, b0), sizes)) == leading
     # B = I: its first column, and every column of G^-1 from L^-1 and D
     unit = [[ExactComplex(int(i == j)) for i in range(n + 1)] for j in range(n + 1)]
-    assert list(solve(factor(G))) == exact_gauss_solve(G, unit[0])
+    assert list(solve(factor(G))) == exact_gauss_solve(M, unit[0])
     inverse = inverse_from_ldl(G)
     for j in range(n + 1):
-        assert [row[j] for row in inverse] == exact_gauss_solve(G, unit[j])
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_matrices(), gaussian_rationals)
-def test_solve_matches_gauss_oracle_on_general_matrices(M, b0):
-    # non-Hermitian complex matrices have Gaussian-integer pivots
-    assume(leading_minors_nonzero(M))
-    rhs = (b0,) + (ExactComplex(0),) * (len(M) - 1)
-    assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
+        assert [row[j] for row in inverse] == exact_gauss_solve(M, unit[j])
 
 
 @settings(max_examples=60, deadline=None)
 @given(functions(), st.integers(0, 4), alphas)
 def test_det_matches_cofactor_expansion_on_gram(f, n, alpha):
-    M = gram_matrix(f, n, alpha).to_exact()
-    assert elimination_det(M) == cofactor_det(M)
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_matrices())
-def test_det_matches_cofactor_expansion_on_general_matrices(M):
-    assume(len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]))
-    assert elimination_det(M) == cofactor_det(M)
+    G = gram_matrix(f, n, alpha)
+    assert elimination_det(G) == cofactor_det(G.to_exact())
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,12 +102,10 @@ def test_exact_basis_is_orthogonal_with_norms(f, n, alpha):
         assert weighted_inner(psi, psi, f, alpha) == ExactComplex(bas.norms_sq[k])
 
 
-ZERO_FIRST_PIVOT = ((ExactComplex(0), ExactComplex(1)), (ExactComplex(1), ExactComplex(0)))
-ZERO_FIRST_PIVOT_COMPLEX = ((ExactComplex(0), ExactComplex(1, 1)),
-                            (ExactComplex(1, -1), ExactComplex(2)))
-ZERO_MIDDLE_PIVOT = tuple(tuple(ExactComplex(x) for x in row)
-                          for row in ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
-SINGULAR = ((ExactComplex(1), ExactComplex(1)), (ExactComplex(1), ExactComplex(1)))
+ZERO_FIRST_PIVOT = IntegerMatrix(({1: 1}, {0: 1}), 1, False)
+ZERO_FIRST_PIVOT_COMPLEX = IntegerMatrix(({1: (1, 1)}, {0: (1, -1), 1: (2, 0)}), 1, True)
+ZERO_MIDDLE_PIVOT = IntegerMatrix(({0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}), 1, False)
+SINGULAR = IntegerMatrix(({0: 1, 1: 1}, {0: 1, 1: 1}), 1, False)
 
 
 @pytest.mark.parametrize("M", [ZERO_FIRST_PIVOT, ZERO_FIRST_PIVOT_COMPLEX,
@@ -177,24 +157,22 @@ def monic_orthogonal_oracle(G):
 @given(band_cases(), alphas)
 def test_band_gram_solve_with_sizes(case, alpha):
     f, n = case
-    G = gram_matrix(f, n, alpha).to_exact()
-    assert G[0][n] == ExactComplex(0)   # outside the band
+    G = gram_matrix(f, n, alpha)
+    M = G.to_exact()
+    assert M[0][n] == ExactComplex(0)   # outside the band
     rhs = (f.at0(),) + (ExactComplex(0),) * n
     sizes = list(range(1, n + 2))
     leading = [x for m in sizes
-               for x in exact_gauss_solve([row[:m] for row in G[:m]], rhs[:m])]
+               for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
     assert list(solve(factor(G, f.at0()), sizes)) == leading
-    assert list(solve(factor(gram_matrix(f, n, alpha), f.at0()), sizes)) == leading
 
 
 @settings(max_examples=40, deadline=None)
 @given(band_cases(), alphas)
 def test_band_gram_inverse_ldl(case, alpha):
     f, n = case
-    G = gram_matrix(f, n, alpha).to_exact()
-    oracle = monic_orthogonal_oracle(G)
-    assert forward(factor(G)) == oracle
-    assert forward(factor(gram_matrix(f, n, alpha))) == oracle
+    G = gram_matrix(f, n, alpha)
+    assert forward(factor(G)) == monic_orthogonal_oracle(G.to_exact())
 
 
 @settings(max_examples=25, deadline=None)
@@ -203,70 +181,82 @@ def test_band_gram_det(case, alpha):
     f, n = case
     n = min(n, 5)   # the cofactor oracle grows like n!
     G = gram_matrix(f, n, alpha)
-    det = cofactor_det(G.to_exact())
-    assert elimination_det(G.to_exact()) == det
-    assert elimination_det(G) == det
+    assert elimination_det(G) == cofactor_det(G.to_exact())
 
 
-sparse_entries = st.one_of(st.just(ExactComplex(0)), st.just(ExactComplex(0)),
-                           gaussian_rationals, st.builds(ExactComplex, rationals))
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
 
 
 @st.composite
-def sparse_matrices(draw, max_size=6):
-    n = draw(st.integers(1, max_size))
-    return tuple(tuple(draw(sparse_entries) for _ in range(n)) for _ in range(n))
+def hermitian_systems(draw, max_size=6):
+    """A sparse Hermitian IntegerMatrix G, of ints or Gaussian-integer
+    pairs, and an exact b0, real when G is."""
+    n, gaussian = draw(st.integers(1, max_size)), draw(st.booleans())
+    rows = tuple({} for _ in range(n))
+    for i in range(n):
+        for j in range(i, n):
+            re, im = draw(sparse_entries), draw(sparse_entries) if gaussian and j > i else 0
+            if re or im:
+                rows[i][j] = (re, im) if gaussian else re
+                rows[j][i] = (re, -im) if gaussian else re
+    G = IntegerMatrix(rows, draw(st.integers(1, 4)), gaussian)
+    return G, real_if(G, draw(gaussian_rationals))
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices(), gaussian_rationals)
-def test_sparse_general_matrices(M, b0):
-    # solved exactly when every leading minor is nonzero, refused otherwise
+@given(hermitian_systems())
+def test_sparse_hermitian_matrices(case):
+    # solved exactly when every leading minor is nonzero, refused otherwise;
+    # the minors and denominators of the factor are ints in both rings
+    G, b0 = case
+    M = G.to_exact()
     rhs = (b0,) + (ExactComplex(0),) * (len(M) - 1)
     if leading_minors_nonzero(M):
-        assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
+        F = factor(G, b0)
+        assert all(type(x) is int for x in (*F.minors, F.den, F.q))
+        assert list(solve(F)) == exact_gauss_solve(M, rhs)
     else:
         with pytest.raises(DegenerateError):
-            solve(factor(M, b0))
+            solve(factor(G, b0))
     if len(M) <= 5:
         if len(M) == 1 or leading_minors_nonzero([row[:-1] for row in M[:-1]]):
-            assert elimination_det(M) == cofactor_det(M)
+            assert elimination_det(G) == cofactor_det(M)
         else:
             with pytest.raises(DegenerateError):
-                elimination_det(M)
+                elimination_det(G)
 
 
-def _exact(rows):
-    return tuple(tuple(ExactComplex(*x) if isinstance(x, tuple) else ExactComplex(x)
-                       for x in row) for row in rows)
-
-
-# Row 2 is zero in columns 0 and 1, so the elimination skips it at steps 0
-# and 1 and then takes it as the pivot row at step 2, where it must first be
-# scaled by Delta_2 / Delta_0.  In the second matrix row 3 is skipped at
-# step 1 only, after an update at step 0, and row 2 at step 0 only.
+# Row 2 of the first matrix is zero in columns 0 and 1, so the elimination
+# skips it at steps 0 and 1 and then takes it as the pivot row at step 2,
+# where it must first be scaled by Delta_2 / Delta_0.  In the second row 1
+# is skipped at step 0 and is then the pivot row, and row 3 is skipped at
+# step 1 only, after an update at step 0.
 STALE_PIVOT_ROWS = [
-    _exact(((2, 1, 0, 0), (1, 3, 0, 1), (0, 0, 5, 1), (0, 1, 1, 4))),
-    _exact(((3, 0, 1, 2), (0, 2, 0, 0), (1, 1, 4, 0), (2, 0, (1, 1), 7))),
-    _exact(((2, (0, 1), 0, 0, 0), ((0, -1), 3, 0, 0, 1), (0, 0, 5, 2, 0),
-            (0, 0, 2, 7, 0), (0, 1, 0, 0, 9))),
+    IntegerMatrix(({0: 2, 1: 1}, {0: 1, 1: 3, 3: 1}, {2: 5, 3: 1}, {1: 1, 2: 1, 3: 4}),
+                  1, False),
+    IntegerMatrix(({0: (3, 0), 2: (1, 0), 3: (2, 0)}, {1: (2, 0), 2: (1, 0)},
+                   {0: (1, 0), 1: (1, 0), 2: (4, 0), 3: (1, 1)},
+                   {0: (2, 0), 2: (1, -1), 3: (7, 0)}), 3, True),
+    IntegerMatrix(({0: (2, 0), 1: (0, 1)}, {0: (0, -1), 1: (3, 0), 4: (1, 0)},
+                   {2: (5, 0), 3: (2, 0)}, {2: (2, 0), 3: (7, 0)}, {1: (1, 0), 4: (9, 0)}),
+                  1, True),
 ]
 
 
 @pytest.mark.parametrize("M", STALE_PIVOT_ROWS)
 def test_stale_pivot_row(M):
+    G, M = M, M.to_exact()
     n = len(M)
-    b0 = ExactComplex(2, 1)
+    b0 = real_if(G, ExactComplex(2, 1))
     rhs = (b0,) + (ExactComplex(0),) * (n - 1)
-    assert list(solve(factor(M, b0))) == exact_gauss_solve(M, rhs)
+    assert list(solve(factor(G, b0))) == exact_gauss_solve(M, rhs)
     sizes = list(range(1, n + 1))
-    assert list(solve(factor(M, b0), sizes)) == [
+    assert list(solve(factor(G, b0), sizes)) == [
         x for m in sizes for x in exact_gauss_solve([row[:m] for row in M[:m]], rhs[:m])]
-    assert elimination_det(M) == cofactor_det(M)
-    if all(M[i][j] == M[j][i].conjugate() for i in range(n) for j in range(n)):
-        assert forward(factor(M)) == monic_orthogonal_oracle(M)
-        inverse_rows = monic_orthogonal_oracle(M)[0]
-        assert forward(factor(M, b0))[0] == [(b0 * row[0],) for row in inverse_rows]
+    assert elimination_det(G) == cofactor_det(M)
+    assert forward(factor(G)) == monic_orthogonal_oracle(M)
+    inverse_rows = monic_orthogonal_oracle(M)[0]
+    assert forward(factor(G, b0))[0] == [(b0 * row[0],) for row in inverse_rows]
 
 
 # -- the float reads, and one factorization per call ----------------------
